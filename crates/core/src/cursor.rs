@@ -65,28 +65,16 @@ impl Database {
     /// Open a structured cursor over a retrieve. The query is executed with
     /// the `STRUCTURE` output mode regardless of how it was written.
     pub fn open_cursor(&self, dml: &str) -> Result<StructuredCursor, SimError> {
-        // Rewrite the mode by parsing and rebinding with Structure.
-        let statements = sim_dml::parse_statements(dml)
-            .map_err(sim_query::QueryError::from)
-            .map_err(SimError::from)?;
-        let [sim_dml::Statement::Retrieve(mut r)] =
-            <[_; 1]>::try_from(statements).map_err(|_| {
-                SimError::Query(sim_query::QueryError::Analyze(
-                    "open_cursor accepts a single retrieve statement".into(),
-                ))
-            })?
-        else {
+        // Rewrite the mode on the parsed statement, then take the ordinary
+        // retrieve route (plan cache, plan verifier) on its rendering.
+        let parsed = sim_dml::parse_statement(dml).map_err(sim_query::QueryError::from)?;
+        let sim_dml::Statement::Retrieve(mut r) = parsed else {
             return Err(SimError::Query(sim_query::QueryError::Analyze(
                 "open_cursor accepts a single retrieve statement".into(),
             )));
         };
         r.mode = sim_dml::OutputMode::Structure;
-        let catalog = self.catalog();
-        let bound = sim_query::bind::Binder::bind_retrieve(catalog, &r).map_err(SimError::Query)?;
-        let plan = sim_query::optimizer::plan(self.mapper(), &bound).map_err(SimError::Query)?;
-        let out = sim_query::exec::Executor::new(self.mapper(), &bound, &plan)
-            .run()
-            .map_err(SimError::Query)?;
+        let out = self.query(&sim_dml::Statement::Retrieve(r).to_string())?;
         let QueryOutput::Structure { formats, records } = out else {
             unreachable!("mode forced to Structure");
         };

@@ -280,13 +280,6 @@ impl Database {
         self.engine.set_plan_mutator(mutator);
     }
 
-    /// Toggle static plan verification (DESIGN.md §13). On by default;
-    /// turning it off is a measurement hook for the perf gate. Every
-    /// toggle clears the plan cache, so unverified plans never linger.
-    pub fn set_plan_verification(&mut self, on: bool) {
-        self.engine.set_plan_verification(on);
-    }
-
     /// Statically analyze a DML script without running it: parse, bind, and
     /// lint every statement (`SIM-Q1xx` rules). Statements that fail to
     /// parse or bind are ordinary errors, not diagnostics.

@@ -29,7 +29,7 @@
 use crate::error::SimError;
 use crate::Database;
 use sim_catalog::Catalog;
-use sim_dml::{parse_statements, Statement};
+use sim_dml::{parse_statement, parse_statements, Statement};
 use sim_obs::{Event, MetricsSnapshot, Registry};
 use sim_query::{ExecResult, QueryEngine, QueryError, QueryOutput};
 use sim_storage::{LockKey, LockMode, LockTable, Txn};
@@ -353,13 +353,8 @@ impl Session {
 
     /// Run exactly one statement.
     pub fn run_one(&mut self, dml: &str) -> Result<ExecResult, SimError> {
-        let mut statements = parse_statements(dml).map_err(QueryError::from)?;
-        match (statements.pop(), statements.is_empty()) {
-            (Some(stmt), true) => self.run_stmt(&stmt),
-            _ => Err(SimError::Query(QueryError::Analyze(
-                "run_one() expects exactly one statement".into(),
-            ))),
-        }
+        let stmt = parse_statement(dml).map_err(QueryError::from)?;
+        self.run_stmt(&stmt)
     }
 
     /// Run a single retrieve. Outside a transaction this is a snapshot

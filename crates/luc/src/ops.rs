@@ -1269,44 +1269,26 @@ impl Mapper {
         Ok(self.engine.btree_lookup_first(tree, &key)?.as_deref().and_then(decode_surr_be))
     }
 
-    /// Indexed equality lookup (unique or secondary). `None` when the
-    /// attribute has no index at all.
-    pub fn lookup_indexed(
+    /// Indexed equality lookup. `prefer_hash` routes through the hash
+    /// index when one exists (the plan's chosen probe method); otherwise a
+    /// unique B-tree wins over a secondary one, and the hash index is the
+    /// last resort. `None` when the attribute has no index at all.
+    pub fn lookup_eq(
         &self,
         attr_id: AttrId,
         value: &Value,
+        prefer_hash: bool,
     ) -> Result<Option<Vec<Surrogate>>, MapperError> {
         let attr = self.catalog.attribute(attr_id)?;
-        let has_any = self.unique_idx.contains_key(&attr_id)
-            || self.secondary_idx.contains_key(&attr_id)
-            || self.hash_idx.contains_key(&attr_id);
         let v = match eq_probe(attr.dva_domain(), value)? {
             Probe::Key(v) => v,
-            Probe::Miss => return Ok(has_any.then(Vec::new)),
+            Probe::Miss => return Ok(self.has_index(attr_id).then(Vec::new)),
         };
         let key = ordered::encode_key(std::slice::from_ref(&v));
-        if let Some(&tree) = self.unique_idx.get(&attr_id) {
-            self.stats.index_probes_btree.inc();
-            return Ok(Some(
-                self.engine
-                    .btree_lookup_first(tree, &key)?
-                    .as_deref()
-                    .and_then(decode_surr_be)
-                    .into_iter()
-                    .collect(),
-            ));
-        }
-        if let Some(&tree) = self.secondary_idx.get(&attr_id) {
-            self.stats.index_probes_btree.inc();
-            return Ok(Some(
-                self.engine
-                    .btree_scan_key(tree, &key)?
-                    .iter()
-                    .filter_map(|b| decode_surr_be(b))
-                    .collect(),
-            ));
-        }
-        if let Some(&hidx) = self.hash_idx.get(&attr_id) {
+        let unique = self.unique_idx.get(&attr_id);
+        let secondary = self.secondary_idx.get(&attr_id);
+        let hash_first = prefer_hash || (unique.is_none() && secondary.is_none());
+        if let Some(&hidx) = self.hash_idx.get(&attr_id).filter(|_| hash_first) {
             self.stats.index_probes_hash.inc();
             let mut out: Vec<Surrogate> = self
                 .engine
@@ -1317,39 +1299,17 @@ impl Mapper {
             out.sort(); // hash order is arbitrary; restore surrogate order
             return Ok(Some(out));
         }
-        Ok(None)
-    }
-
-    /// Indexed equality lookup with an explicit access-method choice:
-    /// `prefer_hash` routes through the hash index when one exists (the
-    /// cost-based plan's chosen probe method); otherwise B-tree indexes win
-    /// exactly as in [`Mapper::lookup_indexed`].
-    pub fn lookup_eq(
-        &self,
-        attr_id: AttrId,
-        value: &Value,
-        prefer_hash: bool,
-    ) -> Result<Option<Vec<Surrogate>>, MapperError> {
-        if prefer_hash {
-            if let Some(&hidx) = self.hash_idx.get(&attr_id) {
-                let attr = self.catalog.attribute(attr_id)?;
-                let v = match eq_probe(attr.dva_domain(), value)? {
-                    Probe::Key(v) => v,
-                    Probe::Miss => return Ok(Some(Vec::new())),
-                };
-                let key = ordered::encode_key(std::slice::from_ref(&v));
-                self.stats.index_probes_hash.inc();
-                let mut out: Vec<Surrogate> = self
-                    .engine
-                    .hash_get(hidx, &key)?
-                    .iter()
-                    .filter_map(|b| decode_surr_be(b))
-                    .collect();
-                out.sort(); // hash order is arbitrary; restore surrogate order
-                return Ok(Some(out));
-            }
+        if let Some(&tree) = unique {
+            self.stats.index_probes_btree.inc();
+            let first = self.engine.btree_lookup_first(tree, &key)?;
+            return Ok(Some(first.as_deref().and_then(decode_surr_be).into_iter().collect()));
         }
-        self.lookup_indexed(attr_id, value)
+        if let Some(&tree) = secondary {
+            self.stats.index_probes_btree.inc();
+            let found = self.engine.btree_scan_key(tree, &key)?;
+            return Ok(Some(found.iter().filter_map(|b| decode_surr_be(b)).collect()));
+        }
+        Ok(None)
     }
 
     /// Range lookup on an indexed attribute: surrogates whose value is in

@@ -527,13 +527,13 @@ fn secondary_index_create_and_lookup() {
 
     let name = uni.attr("person", "name");
     assert!(!uni.mapper.has_index(name));
-    assert_eq!(uni.mapper.lookup_indexed(name, &Value::Str("Alice".into())).unwrap(), None);
+    assert_eq!(uni.mapper.lookup_eq(name, &Value::Str("Alice".into()), false).unwrap(), None);
     uni.mapper.create_index(name).unwrap();
-    let found = uni.mapper.lookup_indexed(name, &Value::Str("Alice".into())).unwrap().unwrap();
+    let found = uni.mapper.lookup_eq(name, &Value::Str("Alice".into()), false).unwrap().unwrap();
     assert_eq!(found.len(), 2);
     assert!(found.contains(&a) && found.contains(&a2));
     assert_eq!(
-        uni.mapper.lookup_indexed(name, &Value::Str("Bob".into())).unwrap().unwrap(),
+        uni.mapper.lookup_eq(name, &Value::Str("Bob".into()), false).unwrap().unwrap(),
         vec![b]
     );
     // Index maintained on subsequent writes.
@@ -541,7 +541,7 @@ fn secondary_index_create_and_lookup() {
     uni.mapper.set_attr(&mut txn, b, name, AttrValue::Scalar(Value::Str("Alice".into()))).unwrap();
     uni.mapper.commit(txn).unwrap();
     assert_eq!(
-        uni.mapper.lookup_indexed(name, &Value::Str("Alice".into())).unwrap().unwrap().len(),
+        uni.mapper.lookup_eq(name, &Value::Str("Alice".into()), false).unwrap().unwrap().len(),
         3
     );
 }

@@ -1,6 +1,13 @@
 //! The Query Driver: the facade that parses, analyzes, optimizes, executes
 //! and enforces integrity (Figure 1 of the paper).
 //!
+//! Every statement takes one route. A retrieve becomes a plan in
+//! `compile` (bind → optimize → estimate-source counter → test mutator),
+//! reached through `cached_or_compile` (plan-cache lookup in front, plan
+//! verifier behind). An update is applied by [`QueryEngine::execute_in`]
+//! under a statement-level savepoint that is rolled back on every error
+//! exit; autocommit is that plus begin and commit-or-abort.
+//!
 //! Every statement is measured: phase latencies land in the `query.*`
 //! histograms of the engine-wide metrics registry, and the most recent
 //! statement's span tree is kept for [`QueryEngine::last_trace`]. EXPLAIN
@@ -17,7 +24,7 @@ use crate::integrity::{compile_all, CompiledVerify};
 use crate::optimizer::{self, Plan};
 use crate::stats::PhaseStats;
 use crate::update::{self, WriteSet};
-use sim_dml::{parse_statements, RetrieveStmt, Statement};
+use sim_dml::{parse_statement, parse_statements, RetrieveStmt, Statement};
 use sim_luc::Mapper;
 use sim_obs::{
     Counter, Event, EventLog, FlightRecorder, Registry, Span, StatementRecord, Trace, TraceBuilder,
@@ -110,9 +117,6 @@ pub struct QueryEngine {
     plan_cache: PlanCache,
     /// The installed plan-verification pass, if any (see [`PlanVerifier`]).
     plan_verifier: Option<PlanVerifier>,
-    /// Whether fresh plans run the verifier before entering the cache.
-    /// On by default; a measurement hook may turn it off (§13).
-    verify_plans: bool,
     /// Test-only plan mutation (see [`PlanMutator`]).
     plan_mutator: Option<PlanMutator>,
     /// Session id stamped into flight-recorder records (0 = unattributed).
@@ -151,7 +155,6 @@ impl QueryEngine {
             slow_statements,
             plan_cache: PlanCache::with_counter(PLAN_CACHE_CAPACITY, Some(plan_cache_evictions)),
             plan_verifier: None,
-            verify_plans: true,
             plan_mutator: None,
             current_session: AtomicU64::new(0),
             last_plan_cached: AtomicBool::new(false),
@@ -175,15 +178,6 @@ impl QueryEngine {
     /// (each freshly optimized plan) before the plan is cached or executed.
     pub fn set_plan_verifier(&mut self, verifier: PlanVerifier) {
         self.plan_verifier = Some(verifier);
-    }
-
-    /// Toggle static plan verification on fresh plans. A measurement hook
-    /// for the perf gate (§13): every toggle clears the plan cache, so
-    /// plans admitted unverified never outlive the off window and the
-    /// cache stays verified-by-construction whenever verification is on.
-    pub fn set_plan_verification(&mut self, on: bool) {
-        self.verify_plans = on;
-        self.plan_cache.clear();
     }
 
     /// Install a test-only plan mutation, applied after the optimizer and
@@ -221,15 +215,6 @@ impl QueryEngine {
         self.phase.analyze.observe_micros(started.elapsed().as_micros() as u64);
         self.phase.analyze_runs.inc();
         Ok(summary)
-    }
-
-    /// Count which cost model priced a freshly optimized plan.
-    fn note_estimate_source(&self, plan: &Plan) {
-        if plan.used_statistics {
-            self.phase.estimate_stats_used.inc();
-        } else {
-            self.phase.estimate_fallbacks.inc();
-        }
     }
 
     /// The compiled constraints.
@@ -337,7 +322,9 @@ impl QueryEngine {
     /// Parse and execute a script of statements, stopping at the first
     /// error.
     pub fn run(&mut self, source: &str) -> Result<Vec<ExecResult>, QueryError> {
-        let statements = self.parse_timed(source)?;
+        let started = Instant::now();
+        let statements = parse_statements(source)?;
+        self.phase.parse.observe_micros(started.elapsed().as_micros() as u64);
         let mut out = Vec::with_capacity(statements.len());
         for stmt in &statements {
             out.push(self.execute(stmt)?);
@@ -347,11 +334,8 @@ impl QueryEngine {
 
     /// Parse and execute a single statement.
     pub fn run_one(&mut self, source: &str) -> Result<ExecResult, QueryError> {
-        let mut results = self.run(source)?;
-        match results.len() {
-            1 => Ok(results.remove(0)),
-            n => Err(QueryError::Analyze(format!("expected one statement, found {n}"))),
-        }
+        let stmt = self.parse_one(source)?;
+        self.execute(&stmt)
     }
 
     /// Execute a retrieve without mutating (usable through `&self`). A
@@ -372,13 +356,13 @@ impl QueryEngine {
         self.plan_cache.pinned_len()
     }
 
-    /// The optimizer's chosen plan for a retrieve (EXPLAIN). Always plans
-    /// fresh — EXPLAIN is the tool for auditing the optimizer, so it must
-    /// not read (or warm) the plan cache.
+    /// The plan a retrieve would execute (EXPLAIN): compiled and verified
+    /// like any other, but always fresh — EXPLAIN is the tool for auditing
+    /// the optimizer, so it must not read (or warm) the plan cache.
     pub fn explain(&self, source: &str) -> Result<Plan, QueryError> {
-        let r = self.parse_one_retrieve(source, "explain()")?;
-        let bound = Binder::bind_retrieve(self.mapper.catalog(), &r)?;
-        optimizer::plan(&self.mapper, &bound)
+        let mut tb = TraceBuilder::new(source);
+        let (entry, _) = self.cached_or_compile(None, source, "explain()", false, &mut tb)?;
+        Ok(Arc::unwrap_or_clone(entry.plan))
     }
 
     /// EXPLAIN ANALYZE: run the retrieve with an instrumented executor and
@@ -394,19 +378,14 @@ impl QueryEngine {
         })
     }
 
-    /// Parse, bind, optimize — but do not execute — a single retrieve,
-    /// returning the bound tree and the fresh plan. Bypasses the plan cache
-    /// (like [`QueryEngine::explain`]) and applies the test-only plan
-    /// mutator when one is installed, so `Database::verify_plan` audits
-    /// exactly what `traced_retrieve` would have handed the verifier.
+    /// Compile — but neither verify nor execute — a single retrieve,
+    /// returning the bound tree and the fresh plan exactly as the verifier
+    /// would receive them (test-only plan mutator applied), so
+    /// `Database::verify_plan` can hand back the verifier's full report
+    /// instead of the pass/fail verdict the execution paths act on.
     pub fn prepare_retrieve(&self, source: &str) -> Result<(BoundQuery, Plan), QueryError> {
         let r = self.parse_one_retrieve(source, "prepare_retrieve()")?;
-        let mut bound = Binder::bind_retrieve(self.mapper.catalog(), &r)?;
-        let mut plan = optimizer::plan(&self.mapper, &bound)?;
-        if let Some(mutator) = &self.plan_mutator {
-            mutator(&mut bound, &mut plan);
-        }
-        Ok((bound, plan))
+        self.compile(&r, &mut TraceBuilder::new(source))
     }
 
     /// Prepare a single statement for repeated execution: parse it,
@@ -420,36 +399,16 @@ impl QueryEngine {
     /// Pins do not survive plan-generation invalidation (DDL/index
     /// changes): the entry is dropped with the rest of the cache and
     /// transparently re-planned — and re-protected — on next execution.
+    ///
+    /// Updates have no cached plans; binding them is per-execution work,
+    /// so preparing one only validates its syntax.
     pub fn prepare_statement(&self, source: &str) -> Result<String, QueryError> {
-        let mut statements = self.parse_timed(source)?;
-        let stmt = match statements.pop() {
-            Some(s) if statements.is_empty() => s,
-            _ => return Err(QueryError::Analyze("prepare accepts a single statement".into())),
-        };
+        let stmt = self.parse_one(source)?;
         let canonical = stmt.to_string();
         if let Statement::Retrieve(r) = &stmt {
-            let key = cache::normalize(&canonical);
-            let generation = self.mapper.plan_generation();
-            if self.plan_cache.get(&key, generation).is_none() {
-                let mut bound = Binder::bind_retrieve(self.mapper.catalog(), r)?;
-                let mut plan = optimizer::plan(&self.mapper, &bound)?;
-                self.note_estimate_source(&plan);
-                if let Some(mutator) = &self.plan_mutator {
-                    mutator(&mut bound, &mut plan);
-                }
-                if let Some(verifier) = self.plan_verifier.as_ref().filter(|_| self.verify_plans) {
-                    if let Err(e) = verifier(&self.mapper, &bound, &plan) {
-                        self.phase.plan_verify_violations.inc();
-                        return Err(e);
-                    }
-                }
-                let entry = CachedPlan { bound: Arc::new(bound), plan: Arc::new(plan) };
-                self.plan_cache.insert(&key, generation, entry);
-            }
-            self.plan_cache.pin(&key);
-        } else {
-            // Updates have no cached plans; binding them is per-execution
-            // work. Preparation still validates the syntax above.
+            let mut tb = TraceBuilder::new(&canonical);
+            self.cached_or_compile(Some(r), &canonical, "prepare()", true, &mut tb)?;
+            self.plan_cache.pin(&cache::normalize(&canonical));
         }
         Ok(canonical)
     }
@@ -461,29 +420,115 @@ impl QueryEngine {
         self.plan_cache.unpin(&cache::normalize(canonical));
     }
 
-    fn parse_timed(&self, source: &str) -> Result<Vec<Statement>, QueryError> {
+    /// Parse exactly one statement — the single arity check every
+    /// one-statement entry point shares (`sim_dml::parse_statement` rejects
+    /// trailing input).
+    fn parse_one(&self, source: &str) -> Result<Statement, QueryError> {
         let started = Instant::now();
-        let statements = parse_statements(source)?;
+        let stmt = parse_statement(source)?;
         self.phase.parse.observe_micros(started.elapsed().as_micros() as u64);
-        Ok(statements)
+        Ok(stmt)
     }
 
     fn parse_one_retrieve(&self, source: &str, what: &str) -> Result<RetrieveStmt, QueryError> {
-        let mut statements = self.parse_timed(source)?;
-        match statements.pop() {
-            Some(Statement::Retrieve(r)) if statements.is_empty() => Ok(r),
+        match self.parse_one(source)? {
+            Statement::Retrieve(r) => Ok(r),
             _ => Err(QueryError::Analyze(format!("{what} accepts a single retrieve"))),
         }
     }
 
-    /// Prepare (or cache-hit) → execute one retrieve, recording phase
+    /// The one compile pipeline: bind → optimize → count the estimate
+    /// source → apply the test-only mutator. Every plan this engine ever
+    /// holds was produced here.
+    fn compile(
+        &self,
+        r: &RetrieveStmt,
+        tb: &mut TraceBuilder,
+    ) -> Result<(BoundQuery, Plan), QueryError> {
+        let t = tb.start();
+        let mut bound = Binder::bind_retrieve(self.mapper.catalog(), r)?;
+        let micros = tb.finish(t, "bind", vec![("nodes".into(), bound.nodes.len().to_string())]);
+        self.phase.bind.observe_micros(micros);
+
+        let t = tb.start();
+        let mut plan = optimizer::plan(&self.mapper, &bound)?;
+        let micros = tb.finish(
+            t,
+            "optimize",
+            vec![("estimated_io".into(), format!("{:.1}", plan.estimated_io))],
+        );
+        self.phase.optimize.observe_micros(micros);
+        if plan.used_statistics {
+            self.phase.estimate_stats_used.inc();
+        } else {
+            self.phase.estimate_fallbacks.inc();
+        }
+
+        if let Some(mutator) = &self.plan_mutator {
+            mutator(&mut bound, &mut plan);
+        }
+        Ok((bound, plan))
+    }
+
+    /// The plan to execute for a retrieve: the cached entry for its
+    /// normalized text, else a fresh [`QueryEngine::compile`] that must
+    /// pass the plan verifier — the only place the verifier gates
+    /// execution, so the cache is verified by construction. `use_cache`
+    /// off (EXPLAIN) neither reads nor warms the cache.
+    ///
+    /// `parsed` carries the statement when the caller already parsed it;
+    /// `None` defers parsing until a cache miss proves it necessary, so a
+    /// hit on the normalized raw text skips the parser too.
+    fn cached_or_compile(
+        &self,
+        parsed: Option<&RetrieveStmt>,
+        source: &str,
+        what: &str,
+        use_cache: bool,
+        tb: &mut TraceBuilder,
+    ) -> Result<(CachedPlan, bool), QueryError> {
+        let key = cache::normalize(source);
+        let generation = self.mapper.plan_generation();
+        if use_cache {
+            if let Some(hit) = self.plan_cache.get(&key, generation) {
+                self.phase.plan_cache_hits.inc();
+                let t = tb.start();
+                tb.finish(t, "plan-cache", vec![("hit".into(), "true".into())]);
+                return Ok((hit, true));
+            }
+            self.phase.plan_cache_misses.inc();
+        }
+        let fresh;
+        let r = match parsed {
+            Some(r) => r,
+            None => {
+                fresh = self.parse_one_retrieve(source, what)?;
+                &fresh
+            }
+        };
+        let (bound, plan) = self.compile(r, tb)?;
+        if let Some(verifier) = &self.plan_verifier {
+            let t = tb.start();
+            let verdict = verifier(&self.mapper, &bound, &plan);
+            // No fields: a failed verdict returns before the trace is
+            // recorded, so an ok-flag would always read `true`.
+            let micros = tb.finish(t, "plan-verify", Vec::new());
+            self.phase.plan_verify.observe_micros(micros);
+            if let Err(e) = verdict {
+                self.phase.plan_verify_violations.inc();
+                return Err(e);
+            }
+        }
+        let entry = CachedPlan { bound: Arc::new(bound), plan: Arc::new(plan) };
+        if use_cache {
+            self.plan_cache.insert(&key, generation, entry.clone());
+        }
+        Ok((entry, false))
+    }
+
+    /// Compile (or cache-hit) → execute one retrieve, recording phase
     /// latencies and the statement trace; optionally with the instrumented
     /// executor.
-    ///
-    /// `parsed` carries the statement when the caller already parsed it
-    /// (scripts via [`QueryEngine::execute`]); `None` defers parsing until
-    /// a cache miss proves it necessary, so a hit on the normalized raw
-    /// text skips the parser too.
     fn traced_retrieve(
         &self,
         parsed: Option<&RetrieveStmt>,
@@ -498,66 +543,8 @@ impl QueryEngine {
             self.events.record(Event::StatementStart { statement: label.to_string() });
         }
         let mut tb = TraceBuilder::new(label);
-
-        let key = cache::normalize(source);
-        let generation = self.mapper.plan_generation();
-        let cached = self.plan_cache.get(&key, generation);
-        let from_cache = cached.is_some();
-        let CachedPlan { bound, plan } = match cached {
-            Some(hit) => {
-                self.phase.plan_cache_hits.inc();
-                let t = tb.start();
-                tb.finish(t, "plan-cache", vec![("hit".into(), "true".into())]);
-                hit
-            }
-            None => {
-                self.phase.plan_cache_misses.inc();
-                let fresh;
-                let r = match parsed {
-                    Some(r) => r,
-                    None => {
-                        fresh = self.parse_one_retrieve(source, what)?;
-                        &fresh
-                    }
-                };
-
-                let t = tb.start();
-                let mut bound = Binder::bind_retrieve(self.mapper.catalog(), r)?;
-                let micros =
-                    tb.finish(t, "bind", vec![("nodes".into(), bound.nodes.len().to_string())]);
-                self.phase.bind.observe_micros(micros);
-
-                let t = tb.start();
-                let mut plan = optimizer::plan(&self.mapper, &bound)?;
-                let micros = tb.finish(
-                    t,
-                    "optimize",
-                    vec![("estimated_io".into(), format!("{:.1}", plan.estimated_io))],
-                );
-                self.phase.optimize.observe_micros(micros);
-                self.note_estimate_source(&plan);
-
-                if let Some(mutator) = &self.plan_mutator {
-                    mutator(&mut bound, &mut plan);
-                }
-                if let Some(verifier) = self.plan_verifier.as_ref().filter(|_| self.verify_plans) {
-                    let t = tb.start();
-                    let verdict = verifier(&self.mapper, &bound, &plan);
-                    // No fields: a failed verdict returns before the trace is
-                    // recorded, so an ok-flag would always read `true`.
-                    let micros = tb.finish(t, "plan-verify", Vec::new());
-                    self.phase.plan_verify.observe_micros(micros);
-                    if let Err(e) = verdict {
-                        self.phase.plan_verify_violations.inc();
-                        return Err(e);
-                    }
-                }
-
-                let entry = CachedPlan { bound: Arc::new(bound), plan: Arc::new(plan) };
-                self.plan_cache.insert(&key, generation, entry.clone());
-                entry
-            }
-        };
+        let (CachedPlan { bound, plan }, from_cache) =
+            self.cached_or_compile(parsed, source, what, true, &mut tb)?;
 
         let executor = Executor::new(&self.mapper, &bound, &plan);
         let executor = if analyze { executor.instrumented() } else { executor };
@@ -615,83 +602,34 @@ impl QueryEngine {
         Ok((out, analyzed))
     }
 
-    /// Execute one parsed statement. Updates run in their own transaction;
-    /// a VERIFY violation rolls the statement back and reports the
-    /// constraint's ELSE message (§3.3).
+    /// Execute one parsed statement, autocommitted: an update runs in a
+    /// transaction of its own through [`QueryEngine::execute_in`], committed
+    /// on success and aborted on any error.
     pub fn execute(&mut self, stmt: &Statement) -> Result<ExecResult, QueryError> {
-        match stmt {
-            Statement::Retrieve(r) => {
-                // Keyed on the statement's canonical rendering: repeated
-                // retrieves in a script skip bind and optimize.
-                let label = stmt.to_string();
-                let (out, _) = self.traced_retrieve(Some(r), &label, "execute()", false)?;
-                Ok(ExecResult::Rows(out))
-            }
-            Statement::Insert(_) | Statement::Modify(_) | Statement::Delete(_) => {
-                self.phase.statements.inc();
-                self.phase.updates.inc();
-                let label = stmt.to_string();
-                if self.events.is_enabled() {
-                    self.events.record(Event::StatementStart { statement: label.clone() });
-                }
-                let io_before = self.mapper.engine().io_snapshot();
-                let mut tb = TraceBuilder::new(&label);
-                let mut txn = self.mapper.begin();
-                let mut writes = WriteSet::default();
-                let t = tb.start();
-                let result = match stmt {
-                    Statement::Insert(i) => {
-                        update::exec_insert(&mut self.mapper, &mut txn, i, &mut writes)
-                    }
-                    Statement::Modify(m) => {
-                        update::exec_modify(&mut self.mapper, &mut txn, m, &mut writes)
-                    }
-                    Statement::Delete(d) => {
-                        update::exec_delete(&mut self.mapper, &mut txn, d, &mut writes)
-                    }
-                    Statement::Retrieve(_) => {
-                        Err(QueryError::Internal("retrieve dispatched as update".into()))
-                    }
-                };
-                let count = match result {
-                    Ok(n) => n,
-                    Err(e) => {
-                        self.mapper.abort(txn)?;
-                        return Err(e);
-                    }
-                };
-                let micros = tb.finish(t, "execute", vec![("updated".into(), count.to_string())]);
-                self.phase.execute.observe_micros(micros);
-                if self.enforce_verifies {
-                    let t = tb.start();
-                    let violation = self.find_violation(&writes)?;
-                    let micros = tb.finish(
-                        t,
-                        "verify",
-                        vec![("constraints".into(), self.verifies.len().to_string())],
-                    );
-                    self.phase.verify.observe_micros(micros);
-                    if let Some((name, message)) = violation {
-                        self.phase.integrity_violations.inc();
-                        self.mapper.abort(txn)?;
-                        let io = self.mapper.engine().io_snapshot().since(&io_before);
-                        self.record_statement(tb, &label, 0, &io, false);
-                        return Err(QueryError::IntegrityViolation { constraint: name, message });
-                    }
-                }
+        if let Statement::Retrieve(r) = stmt {
+            return self.execute_retrieve(stmt, r);
+        }
+        let mut txn = self.mapper.begin();
+        match self.execute_in(&mut txn, stmt) {
+            Ok(result) => {
                 self.mapper.commit(txn)?;
-                let io = self.mapper.engine().io_snapshot().since(&io_before);
-                self.record_statement(tb, &label, count as u64, &io, false);
-                Ok(ExecResult::Updated(count))
+                Ok(result)
+            }
+            Err(e) => {
+                self.mapper.abort(txn)?;
+                Err(e)
             }
         }
     }
 
-    /// Execute one parsed statement inside a caller-owned transaction
-    /// (session transactions; see `sim_core::Session`). Retrieves read the
-    /// live engine state, which inside a writer transaction includes its
-    /// own uncommitted writes. Updates run under a statement-level
-    /// savepoint: an error or VERIFY violation rolls back only this
+    /// Execute one parsed statement inside a caller-owned transaction —
+    /// the one update path: autocommit ([`QueryEngine::execute`]) and
+    /// session transactions (`sim_core::Session`) both end here.
+    /// Retrieves read the live engine state, which inside a writer
+    /// transaction includes its own uncommitted writes. Updates run under
+    /// a statement-level savepoint: any error — from the update itself,
+    /// from a VERIFY violation (reported with the constraint's ELSE
+    /// message, §3.3), or from *checking* a VERIFY — rolls back exactly this
     /// statement, leaving the transaction's earlier work intact. The
     /// caller commits or aborts `txn`.
     pub fn execute_in(
@@ -699,69 +637,74 @@ impl QueryEngine {
         txn: &mut Txn,
         stmt: &Statement,
     ) -> Result<ExecResult, QueryError> {
-        match stmt {
-            Statement::Retrieve(r) => {
-                let label = stmt.to_string();
-                let (out, _) = self.traced_retrieve(Some(r), &label, "execute_in()", false)?;
-                Ok(ExecResult::Rows(out))
+        if let Statement::Retrieve(r) = stmt {
+            return self.execute_retrieve(stmt, r);
+        }
+        self.phase.statements.inc();
+        self.phase.updates.inc();
+        let label = stmt.to_string();
+        if self.events.is_enabled() {
+            self.events.record(Event::StatementStart { statement: label.clone() });
+        }
+        let io_before = self.mapper.engine().io_snapshot();
+        let mut tb = TraceBuilder::new(&label);
+        let savepoint = txn.savepoint();
+        let outcome = self.apply_update(txn, stmt, &mut tb);
+        if outcome.is_err() {
+            self.mapper.rollback_to(txn, savepoint)?;
+        }
+        let io = self.mapper.engine().io_snapshot().since(&io_before);
+        let count = *outcome.as_ref().unwrap_or(&0);
+        self.record_statement(tb, &label, count as u64, &io, false);
+        outcome.map(ExecResult::Updated)
+    }
+
+    /// Keyed on the statement's canonical rendering: repeated retrieves in
+    /// a script skip bind and optimize.
+    fn execute_retrieve(
+        &self,
+        stmt: &Statement,
+        r: &RetrieveStmt,
+    ) -> Result<ExecResult, QueryError> {
+        let (out, _) = self.traced_retrieve(Some(r), &stmt.to_string(), "execute()", false)?;
+        Ok(ExecResult::Rows(out))
+    }
+
+    /// Apply one update to `txn` and check the VERIFY constraints it
+    /// triggers. Never rolls back: on `Err` the caller owns the undo.
+    fn apply_update(
+        &mut self,
+        txn: &mut Txn,
+        stmt: &Statement,
+        tb: &mut TraceBuilder,
+    ) -> Result<usize, QueryError> {
+        let mut writes = WriteSet::default();
+        let t = tb.start();
+        let count = match stmt {
+            Statement::Insert(i) => update::exec_insert(&mut self.mapper, txn, i, &mut writes),
+            Statement::Modify(m) => update::exec_modify(&mut self.mapper, txn, m, &mut writes),
+            Statement::Delete(d) => update::exec_delete(&mut self.mapper, txn, d, &mut writes),
+            Statement::Retrieve(_) => {
+                Err(QueryError::Internal("retrieve dispatched as update".into()))
             }
-            Statement::Insert(_) | Statement::Modify(_) | Statement::Delete(_) => {
-                self.phase.statements.inc();
-                self.phase.updates.inc();
-                let label = stmt.to_string();
-                if self.events.is_enabled() {
-                    self.events.record(Event::StatementStart { statement: label.clone() });
-                }
-                let io_before = self.mapper.engine().io_snapshot();
-                let mut tb = TraceBuilder::new(&label);
-                let savepoint = txn.savepoint();
-                let mut writes = WriteSet::default();
-                let t = tb.start();
-                let result = match stmt {
-                    Statement::Insert(i) => {
-                        update::exec_insert(&mut self.mapper, txn, i, &mut writes)
-                    }
-                    Statement::Modify(m) => {
-                        update::exec_modify(&mut self.mapper, txn, m, &mut writes)
-                    }
-                    Statement::Delete(d) => {
-                        update::exec_delete(&mut self.mapper, txn, d, &mut writes)
-                    }
-                    Statement::Retrieve(_) => {
-                        Err(QueryError::Internal("retrieve dispatched as update".into()))
-                    }
-                };
-                let count = match result {
-                    Ok(n) => n,
-                    Err(e) => {
-                        self.mapper.rollback_to(txn, savepoint)?;
-                        return Err(e);
-                    }
-                };
-                let micros = tb.finish(t, "execute", vec![("updated".into(), count.to_string())]);
-                self.phase.execute.observe_micros(micros);
-                if self.enforce_verifies {
-                    let t = tb.start();
-                    let violation = self.find_violation(&writes)?;
-                    let micros = tb.finish(
-                        t,
-                        "verify",
-                        vec![("constraints".into(), self.verifies.len().to_string())],
-                    );
-                    self.phase.verify.observe_micros(micros);
-                    if let Some((name, message)) = violation {
-                        self.phase.integrity_violations.inc();
-                        self.mapper.rollback_to(txn, savepoint)?;
-                        let io = self.mapper.engine().io_snapshot().since(&io_before);
-                        self.record_statement(tb, &label, 0, &io, false);
-                        return Err(QueryError::IntegrityViolation { constraint: name, message });
-                    }
-                }
-                let io = self.mapper.engine().io_snapshot().since(&io_before);
-                self.record_statement(tb, &label, count as u64, &io, false);
-                Ok(ExecResult::Updated(count))
+        }?;
+        let micros = tb.finish(t, "execute", vec![("updated".into(), count.to_string())]);
+        self.phase.execute.observe_micros(micros);
+        if self.enforce_verifies {
+            let t = tb.start();
+            let violation = self.find_violation(&writes)?;
+            let micros = tb.finish(
+                t,
+                "verify",
+                vec![("constraints".into(), self.verifies.len().to_string())],
+            );
+            self.phase.verify.observe_micros(micros);
+            if let Some((constraint, message)) = violation {
+                self.phase.integrity_violations.inc();
+                return Err(QueryError::IntegrityViolation { constraint, message });
             }
         }
+        Ok(count)
     }
 
     fn find_violation(&self, writes: &WriteSet) -> Result<Option<(String, String)>, QueryError> {
@@ -770,8 +713,7 @@ impl QueryEngine {
                 continue;
             }
             let affected = cv.affected_entities(&self.mapper, writes)?;
-            if let Some(bad) = cv.check(&self.mapper, affected)? {
-                let _ = bad;
+            if cv.check(&self.mapper, affected)?.is_some() {
                 return Ok(Some((cv.name.clone(), cv.message.clone())));
             }
         }

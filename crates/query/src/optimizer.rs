@@ -21,18 +21,18 @@
 //!   tested to see if it is semantics-preserving, and, if it is not, the
 //!   cost of reordering/sorting output is added").
 //!
-//! Costing runs in one of two modes. With statistics (after `\analyze`;
-//! see [`crate::statistics::Estimator`]) cardinality flows through
-//! histogram selectivities, distinct counts and measured EVA fan-outs, and
-//! candidate costs are expressed in estimated block accesses. Without
-//! statistics the pre-statistics heuristics apply unchanged, so an
-//! un-analyzed database plans exactly as earlier releases did. Either way
-//! the plan records its per-node row estimates (`est_rows`) so EXPLAIN
-//! ANALYZE can render estimated-vs-actual side by side.
+//! There is one cost model. Every candidate is priced in estimated block
+//! accesses by the formulas below; the cardinalities they consume come
+//! from [`crate::statistics::Estimator`] — histogram selectivities,
+//! distinct counts and measured EVA fan-outs after `\analyze`, the named
+//! defaults of [`crate::statistics::priors`] before it. Whether statistics
+//! existed is recorded on the plan (`used_statistics`) but selects no code
+//! path. The plan also records its per-node row estimates (`est_rows`) so
+//! EXPLAIN ANALYZE can render estimated-vs-actual side by side.
 
 use crate::bound::{BExpr, BoundQuery, NodeOrigin, NodeType};
 use crate::error::QueryError;
-use crate::statistics::Estimator;
+use crate::statistics::{flip, priors, Estimator};
 use sim_catalog::{AttrId, ClassId};
 use sim_dml::BinOp;
 use sim_luc::layout::{AttrPlacement, FieldKind, PairMapping};
@@ -104,8 +104,9 @@ pub struct Plan {
     pub est_rows: Vec<f64>,
     /// Estimated output rows after the full selection.
     pub estimated_rows: f64,
-    /// True when the plan was costed under collected statistics (false =
-    /// heuristic fallback; `query.estimate_*` counters track the split).
+    /// True when collected statistics existed at planning time (false =
+    /// every estimate came from the default priors; the `query.estimate_*`
+    /// counters track the split).
     pub used_statistics: bool,
 }
 
@@ -150,7 +151,6 @@ pub fn plan(mapper: &Mapper, q: &BoundQuery) -> Result<Plan, QueryError> {
         None => Vec::new(),
     };
     let est = Estimator::new(mapper);
-    let stats_on = !mapper.optimizer_statistics().is_empty();
 
     // Candidate access paths per root.
     let mut candidates: Vec<Vec<Candidate>> = Vec::with_capacity(q.roots.len());
@@ -159,7 +159,7 @@ pub fn plan(mapper: &Mapper, q: &BoundQuery) -> Result<Plan, QueryError> {
             .class
             .ok_or_else(|| QueryError::Internal("root node has no class".into()))?;
         let n = mapper.entity_count(class).max(1) as f64;
-        let scan_cost = mapper.class_block_count(class)? as f64 + 1.0;
+        let scan_cost = est.scan_blocks(class)? + 1.0;
         let mut cands = vec![Candidate {
             access: AccessPath::FullScan { class },
             cost: scan_cost,
@@ -169,7 +169,7 @@ pub fn plan(mapper: &Mapper, q: &BoundQuery) -> Result<Plan, QueryError> {
             description: format!("scan {} ({n} entities)", class_name(mapper, class)),
         }];
         for (ci, c) in conjuncts.iter().enumerate() {
-            index_candidates(mapper, &est, stats_on, q, root, class, ci, c, &mut cands)?;
+            index_candidates(mapper, &est, q, root, class, ci, c, &mut cands)?;
         }
         candidates.push(cands);
     }
@@ -186,8 +186,7 @@ pub fn plan(mapper: &Mapper, q: &BoundQuery) -> Result<Plan, QueryError> {
 
     let mut best: Option<Plan> = None;
     for order in orders {
-        if let Some(plan) = cost_order(mapper, &est, stats_on, q, &order, &candidates, &conjuncts)?
-        {
+        if let Some(plan) = cost_order(mapper, &est, q, &order, &candidates, &conjuncts)? {
             if best.as_ref().is_none_or(|b| plan.estimated_io < b.estimated_io) {
                 best = Some(plan);
             }
@@ -209,27 +208,17 @@ fn root_of_map(q: &BoundQuery) -> Vec<usize> {
     root_of
 }
 
-/// Expected domain-size factor of a non-root node under the current mode.
-fn node_factor(est: &Estimator<'_>, stats_on: bool, q: &BoundQuery, node: usize) -> f64 {
+/// Expected domain-size factor of a non-root node.
+fn node_factor(est: &Estimator<'_>, q: &BoundQuery, node: usize) -> f64 {
     let raw = match &q.nodes[node].origin {
-        NodeOrigin::Eva { attr } | NodeOrigin::MvDva { attr } => {
-            if stats_on {
-                est.fan_out(*attr).unwrap_or(2.0)
-            } else {
-                2.0
-            }
-        }
-        // The closure multiplies per level; without per-depth statistics
-        // keep the pre-statistics default.
-        NodeOrigin::Transitive { .. } => 2.0,
+        NodeOrigin::Eva { attr } | NodeOrigin::MvDva { attr } => est.fan_out(*attr),
+        // The closure multiplies per level; there are no per-depth
+        // statistics, so it is always the prior.
+        NodeOrigin::Transitive { .. } => priors::FAN_OUT,
         NodeOrigin::Restrict { class } => {
-            if stats_on {
-                match q.nodes[node].parent.and_then(|p| q.nodes[p].class) {
-                    Some(parent_class) => est.role_fraction(parent_class, *class),
-                    None => 1.0,
-                }
-            } else {
-                1.0
+            match q.nodes[node].parent.and_then(|p| q.nodes[p].class) {
+                Some(parent_class) => est.role_fraction(parent_class, *class),
+                None => 1.0,
             }
         }
         NodeOrigin::Perspective { .. } => 1.0,
@@ -243,11 +232,9 @@ fn node_factor(est: &Estimator<'_>, stats_on: bool, q: &BoundQuery, node: usize)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn cost_order(
     mapper: &Mapper,
     est: &Estimator<'_>,
-    stats_on: bool,
     q: &BoundQuery,
     order: &[usize],
     candidates: &[Vec<Candidate>],
@@ -288,7 +275,7 @@ fn cost_order(
         if q.nodes[node].parent.is_none() {
             continue;
         }
-        let factor = node_factor(est, stats_on, q, node);
+        let factor = node_factor(est, q, node);
         match &q.nodes[node].origin {
             NodeOrigin::Eva { attr } | NodeOrigin::Transitive { attr } => {
                 let fc = first_instance_cost(mapper, *attr);
@@ -325,7 +312,7 @@ fn cost_order(
             if node == root || root_of[node] != root {
                 continue;
             }
-            cum *= node_factor(est, stats_on, q, node);
+            cum *= node_factor(est, q, node);
             est_rows[node] = cum;
         }
     }
@@ -336,7 +323,7 @@ fn cost_order(
             Some(p) if est_rows[p] > 0.0 => est_rows[p],
             _ => cum13,
         };
-        est_rows[node] = base * node_factor(est, stats_on, q, node);
+        est_rows[node] = base * node_factor(est, q, node);
     }
 
     // Output estimate: rows through the nest, filtered by every conjunct
@@ -347,7 +334,7 @@ fn cost_order(
         if consumed.contains(&ci) {
             continue;
         }
-        estimated_rows *= residual_selectivity(mapper, est, stats_on, q, c);
+        estimated_rows *= est.residual_selectivity(q, c);
     }
 
     // Semantics preservation (§5.1): without an explicit ORDER BY the output
@@ -362,9 +349,10 @@ fn cost_order(
             "perspective order permuted: adding sort cost {sort_cost:.1} to restore semantics"
         ));
     }
+    let used_statistics = est.has_statistics();
     explanation.push(format!(
-        "estimated output: {estimated_rows:.1} rows ({} cost model)",
-        if stats_on { "statistics" } else { "heuristic" }
+        "estimated output: {estimated_rows:.1} rows (from {})",
+        if used_statistics { "statistics" } else { "default priors" }
     ));
     Ok(Some(Plan {
         root_order: order.to_vec(),
@@ -374,45 +362,8 @@ fn cost_order(
         explanation,
         est_rows,
         estimated_rows,
-        used_statistics: stats_on,
+        used_statistics,
     }))
-}
-
-/// Selectivity of a conjunct applied at output time (not consumed by an
-/// access path). Falls back to fixed heuristics when statistics cannot
-/// price it.
-fn residual_selectivity(
-    mapper: &Mapper,
-    est: &Estimator<'_>,
-    stats_on: bool,
-    q: &BoundQuery,
-    conjunct: &BExpr,
-) -> f64 {
-    if stats_on {
-        for &root in &q.roots {
-            if let Some(s) = est.conjunct_selectivity(q, root, conjunct) {
-                return s;
-            }
-        }
-        // Join predicate between two roots: 1 / max(ndv) when known.
-        if let BExpr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct {
-            if let (BExpr::Attr { attr: a, .. }, BExpr::Attr { attr: b, .. }) =
-                (lhs.as_ref(), rhs.as_ref())
-            {
-                let store = mapper.optimizer_statistics();
-                let ndv = |id: AttrId| store.attr(id.0).map(|s| s.distinct.max(1) as f64);
-                if let (Some(da), Some(db)) = (ndv(*a), ndv(*b)) {
-                    return 1.0 / da.max(db);
-                }
-            }
-        }
-    }
-    match conjunct {
-        BExpr::Binary { op: BinOp::Eq, .. } => 0.05,
-        BExpr::Binary { op: BinOp::Ne, .. } => 0.95,
-        BExpr::Binary { op: BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, .. } => 0.33,
-        _ => 1.0,
-    }
 }
 
 /// Push every index candidate this conjunct yields for `root` onto `out`.
@@ -420,7 +371,6 @@ fn residual_selectivity(
 fn index_candidates(
     mapper: &Mapper,
     est: &Estimator<'_>,
-    stats_on: bool,
     q: &BoundQuery,
     root: usize,
     class: ClassId,
@@ -439,40 +389,21 @@ fn index_candidates(
         return Ok(());
     }
     let n = mapper.entity_count(class).max(1) as f64;
-    let unique = mapper.catalog().attribute(attr)?.options.unique;
-    let height = mapper.index_height(attr).unwrap_or(2) as f64;
-    // Statistics-backed equality selectivity, else the legacy heuristic.
-    let eq_sel = || {
-        if stats_on {
-            if let Some(s) = est.eq_selectivity(attr) {
-                return s;
-            }
-        }
-        if unique {
-            1.0 / n
-        } else {
-            0.05
-        }
-    };
+    let height = mapper.index_height(attr).map_or(priors::INDEX_HEIGHT, |h| h as f64);
     // Equality probe costs in block accesses: a descent (or one bucket
-    // read) plus one heap access per expected match. The pre-statistics
-    // heuristic is kept verbatim for un-analyzed databases.
+    // read) plus one heap access per expected match.
     let eq_cost = |selectivity: f64, method: ProbeMethod| {
         let matches = (n * selectivity).max(1.0);
-        if stats_on {
-            match method {
-                ProbeMethod::BTree => height + matches,
-                // One bucket read beats a multi-level descent; ties with
-                // shallow B-trees break toward the order-preserving B-tree.
-                ProbeMethod::Hash => 1.5 + matches,
-            }
-        } else {
-            height + matches * 0.1
+        match method {
+            ProbeMethod::BTree => height + matches,
+            // One bucket read beats a multi-level descent; ties with
+            // shallow B-trees break toward the order-preserving B-tree.
+            ProbeMethod::Hash => 1.5 + matches,
         }
     };
     match (op, other) {
         (BinOp::Eq, BExpr::Const(v)) => {
-            let selectivity = eq_sel();
+            let selectivity = est.eq_selectivity(class, attr);
             let mut push = |method: ProbeMethod| {
                 let verb = if method == ProbeMethod::Hash { "hash probe" } else { "index probe" };
                 out.push(Candidate {
@@ -505,7 +436,7 @@ fn index_candidates(
             let Some(outer_root_pos) = q.roots.iter().position(|r| r == node) else {
                 return Ok(());
             };
-            let selectivity = eq_sel();
+            let selectivity = est.eq_selectivity(class, attr);
             let mut push = |method: ProbeMethod| {
                 out.push(Candidate {
                     access: AccessPath::IndexEq {
@@ -555,24 +486,14 @@ fn index_candidates(
                 BinOp::Gt | BinOp::Ge => (Some(v.clone()), None, false),
                 _ => return Ok(()),
             };
-            let stats_sel = if stats_on {
-                est.range_selectivity(
-                    attr,
-                    lo.as_ref().map(|v| (v, matches!(op, BinOp::Ge))),
-                    hi.as_ref().map(|v| (v, hi_inclusive)),
-                )
-            } else {
-                None
-            };
-            let selectivity = stats_sel.unwrap_or(0.33);
-            // Range scans stream matches off consecutive leaves: cheap per
-            // match compared with a probe-per-row; under statistics each
+            let selectivity = est.range_selectivity(
+                attr,
+                lo.as_ref().map(|v| (v, matches!(op, BinOp::Ge))),
+                hi.as_ref().map(|v| (v, hi_inclusive)),
+            );
+            // Range scans stream matches off consecutive leaves, but each
             // match still costs a heap access plus its share of leaf reads.
-            let cost = if stats_sel.is_some() {
-                height + (n * selectivity).max(1.0) * 1.05
-            } else {
-                height + n * selectivity * 0.02
-            };
+            let cost = height + (n * selectivity).max(1.0) * 1.05;
             out.push(Candidate {
                 access: AccessPath::IndexRange { class, attr, lo, hi, hi_inclusive },
                 cost,
@@ -589,16 +510,6 @@ fn index_candidates(
         _ => {}
     }
     Ok(())
-}
-
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
 }
 
 /// Split a selection into top-level AND conjuncts.

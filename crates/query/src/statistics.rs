@@ -1,23 +1,27 @@
-//! Cardinality estimation from collected statistics (paper §5.1).
+//! Cardinality estimation (paper §5.1): collected statistics where they
+//! exist, named default priors where they do not.
 //!
 //! The [`Estimator`] answers "what fraction of a class survives this
 //! qualification?" and "how many partners does this EVA reach?" from the
-//! [`StatsStore`] a full-scan analyze filled (see `sim_luc::analyze`). Every
-//! method returns `Option` — `None` means "no statistics for that
-//! question", and the optimizer falls back to its pre-statistics
-//! heuristics, so an un-analyzed database plans exactly as before.
+//! [`StatsStore`] a full-scan analyze filled (see `sim_luc::analyze`). A
+//! question the store cannot answer — nothing analyzed yet, or a histogram
+//! that was never built — gets the matching constant from [`priors`], so
+//! the optimizer runs one set of cost formulas whatever it knows.
 //!
 //! Formulas (cost units are block accesses; see DESIGN.md §16):
 //!
 //! * `attr = const` → `(non_null / rows) / distinct` (uniform-share over
-//!   the distinct values);
+//!   the distinct values); un-analyzed: `1 / rows` on a UNIQUE attribute,
+//!   [`priors::EQ_SELECTIVITY`] otherwise;
 //! * `attr < / <= / > / >= const` → histogram range fraction × non-null
-//!   fraction (within one equi-depth bucket of exact);
+//!   fraction (within one equi-depth bucket of exact); no histogram:
+//!   [`priors::RANGE_SELECTIVITY`];
 //! * `a AND b` → `s(a) · s(b)`; `a OR b` → `s(a) + s(b) − s(a)·s(b)`;
 //!   `NOT a` → `1 − s(a)` (independence assumed);
 //! * `node isa C` → live subrole membership fraction
 //!   `count(C) / count(class(node))`;
-//! * EVA / MV-DVA traversal → measured average fan-out `links / owners`.
+//! * EVA / MV-DVA traversal → measured average fan-out `links / owners`;
+//!   un-analyzed: [`priors::FAN_OUT`].
 //!
 //! Row counts scale with the *live* class cardinality (maintained
 //! incrementally by the mapper's DML counters), so estimates track inserts
@@ -29,14 +33,35 @@ use crate::bound::{BExpr, BoundQuery};
 use sim_catalog::statistics::StatsStore;
 use sim_catalog::{AttrId, ClassId};
 use sim_dml::BinOp;
-use sim_luc::Mapper;
+use sim_luc::{Mapper, MapperError};
 use sim_types::{Domain, Value};
 
-/// Selectivity used for a comparison we cannot estimate (no histogram, or
-/// the predicate's shape defeats the model) when combining disjunctions.
-const DEFAULT_CMP_SELECTIVITY: f64 = 1.0 / 3.0;
+/// Every number the cost model assumes when no statistic answers — the
+/// whole "no statistics" behaviour of the planner is this table.
+pub mod priors {
+    /// `attr = const` on a non-unique attribute with no distinct count:
+    /// 200 distinct values. Low enough that an un-analyzed secondary-index
+    /// equality probes rather than scans once the class spans a few blocks.
+    pub const EQ_SELECTIVITY: f64 = 0.005;
+    /// One-sided range with no histogram: a third of the class — always
+    /// dearer through the index than a scan, so un-analyzed ranges scan.
+    pub const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
+    /// Partners per owner of an EVA or multi-valued DVA never measured,
+    /// and per level of a transitive closure (never measured per depth).
+    pub const FAN_OUT: f64 = 2.0;
+    /// Residual `=` / `<>` whose shape the model cannot price (operands on
+    /// other nodes, attribute-to-attribute comparisons).
+    pub const OPAQUE_EQ_SELECTIVITY: f64 = 0.05;
+    /// Heap blocks (80 KiB) assumed for a class that was never analyzed, as
+    /// a floor under its live block count: a class nobody has measured yet
+    /// is usually about to grow, and a plan cached now outlives its first
+    /// few inserts, so a one-block class must not lock probes into scans.
+    pub const UNANALYZED_CLASS_BLOCKS: f64 = 20.0;
+    /// An index whose height cannot be read (hash-only attribute).
+    pub const INDEX_HEIGHT: f64 = 2.0;
+}
 
-/// Statistics-backed cardinality estimator over one mapper.
+/// Cardinality estimator over one mapper: statistics first, priors else.
 pub struct Estimator<'a> {
     mapper: &'a Mapper,
     store: &'a StatsStore,
@@ -48,9 +73,10 @@ impl<'a> Estimator<'a> {
         Estimator { mapper, store: mapper.optimizer_statistics() }
     }
 
-    /// Were statistics ever collected for this class?
-    pub fn has_class_stats(&self, class: ClassId) -> bool {
-        self.store.class(class.0).is_some()
+    /// Whether any statistics were ever collected (`Plan::used_statistics`
+    /// — a property of the inputs, not a different cost model).
+    pub fn has_statistics(&self) -> bool {
+        !self.store.is_empty()
     }
 
     /// Live entity count (incrementally maintained, never below 1 so it can
@@ -59,21 +85,44 @@ impl<'a> Estimator<'a> {
         self.mapper.entity_count(class).max(1) as f64
     }
 
-    /// Selectivity of `attr = <constant>`: uniform share of one distinct
-    /// value among the non-null fraction.
-    pub fn eq_selectivity(&self, attr: AttrId) -> Option<f64> {
-        let a = self.store.attr(attr.0)?;
-        if a.distinct == 0 {
+    /// Blocks a full scan of `class` reads: its live heap block count,
+    /// floored by [`priors::UNANALYZED_CLASS_BLOCKS`] until analyzed.
+    pub fn scan_blocks(&self, class: ClassId) -> Result<f64, MapperError> {
+        let live = self.mapper.class_block_count(class)? as f64;
+        Ok(match self.store.class(class.0) {
+            Some(_) => live,
+            None => live.max(priors::UNANALYZED_CLASS_BLOCKS),
+        })
+    }
+
+    /// Selectivity of `attr = <constant>` over `class`: uniform share of
+    /// one distinct value among the non-null fraction. Un-analyzed, a
+    /// UNIQUE attribute still matches one entity at most.
+    pub fn eq_selectivity(&self, class: ClassId, attr: AttrId) -> f64 {
+        match self.store.attr(attr.0) {
             // Analyzed and found no values at all: nothing can match.
-            return Some(0.0);
+            Some(a) if a.distinct == 0 => 0.0,
+            Some(a) => a.eq_selectivity(),
+            None if self.mapper.catalog().attribute(attr).is_ok_and(|a| a.options.unique) => {
+                1.0 / self.live_rows(class)
+            }
+            None => priors::EQ_SELECTIVITY,
         }
-        Some(a.eq_selectivity())
     }
 
     /// Selectivity of a range predicate on `attr` via its equi-depth
     /// histogram (then scaled by the non-null fraction — the histogram only
     /// covers non-null values).
     pub fn range_selectivity(
+        &self,
+        attr: AttrId,
+        lo: Option<(&Value, bool)>,
+        hi: Option<(&Value, bool)>,
+    ) -> f64 {
+        self.histogram_range(attr, lo, hi).unwrap_or(priors::RANGE_SELECTIVITY)
+    }
+
+    fn histogram_range(
         &self,
         attr: AttrId,
         lo: Option<(&Value, bool)>,
@@ -96,8 +145,8 @@ impl<'a> Estimator<'a> {
     }
 
     /// Average partners per owner for an EVA or multi-valued DVA.
-    pub fn fan_out(&self, attr: AttrId) -> Option<f64> {
-        self.store.fan_out(attr.0).map(sim_catalog::FanOutStats::average)
+    pub fn fan_out(&self, attr: AttrId) -> f64 {
+        self.store.fan_out(attr.0).map_or(priors::FAN_OUT, sim_catalog::FanOutStats::average)
     }
 
     /// Fraction of `class` entities that also hold the `role` role (subrole
@@ -110,6 +159,33 @@ impl<'a> Estimator<'a> {
         (self.mapper.entity_count(role) as f64 / all as f64).clamp(0.0, 1.0)
     }
 
+    /// Selectivity of a conjunct applied at output time (not consumed by an
+    /// access path): priced over whichever root it qualifies, else as a
+    /// join predicate, else by the opaque-shape priors.
+    pub fn residual_selectivity(&self, q: &BoundQuery, conjunct: &BExpr) -> f64 {
+        if let Some(s) = q.roots.iter().find_map(|&r| self.conjunct_selectivity(q, r, conjunct)) {
+            return s;
+        }
+        let BExpr::Binary { op, lhs, rhs } = conjunct else { return 1.0 };
+        match op {
+            BinOp::Eq => {
+                // Join predicate between two roots: 1 / max(ndv) when known.
+                if let (BExpr::Attr { attr: a, .. }, BExpr::Attr { attr: b, .. }) =
+                    (lhs.as_ref(), rhs.as_ref())
+                {
+                    let ndv = |id: AttrId| self.store.attr(id.0).map(|s| s.distinct.max(1) as f64);
+                    if let (Some(da), Some(db)) = (ndv(*a), ndv(*b)) {
+                        return 1.0 / da.max(db);
+                    }
+                }
+                priors::OPAQUE_EQ_SELECTIVITY
+            }
+            BinOp::Ne => 1.0 - priors::OPAQUE_EQ_SELECTIVITY,
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => priors::RANGE_SELECTIVITY,
+            _ => 1.0,
+        }
+    }
+
     /// Estimated selectivity of one selection conjunct *restricted to
     /// predicates over `root`*. `None` when the expression references other
     /// nodes or has a shape the model cannot price.
@@ -120,8 +196,9 @@ impl<'a> Estimator<'a> {
                     * self.conjunct_selectivity(q, root, rhs)?,
             ),
             BExpr::Binary { op: BinOp::Or, lhs, rhs } => {
-                let a = self.conjunct_selectivity(q, root, lhs).unwrap_or(DEFAULT_CMP_SELECTIVITY);
-                let b = self.conjunct_selectivity(q, root, rhs).unwrap_or(DEFAULT_CMP_SELECTIVITY);
+                let side =
+                    |e| self.conjunct_selectivity(q, root, e).unwrap_or(priors::RANGE_SELECTIVITY);
+                let (a, b) = (side(lhs), side(rhs));
                 Some(a + b - a * b)
             }
             BExpr::Not(inner) => Some(1.0 - self.conjunct_selectivity(q, root, inner)?),
@@ -146,13 +223,14 @@ impl<'a> Estimator<'a> {
                     // 3VL: comparisons against null never select anything.
                     return Some(0.0);
                 }
+                let class = q.nodes[root].class?;
                 match op {
-                    BinOp::Eq => self.eq_selectivity(attr),
-                    BinOp::Ne => self.eq_selectivity(attr).map(|s| (1.0 - s).max(0.0)),
-                    BinOp::Lt => self.range_selectivity(attr, None, Some((v, false))),
-                    BinOp::Le => self.range_selectivity(attr, None, Some((v, true))),
-                    BinOp::Gt => self.range_selectivity(attr, Some((v, false)), None),
-                    BinOp::Ge => self.range_selectivity(attr, Some((v, true)), None),
+                    BinOp::Eq => Some(self.eq_selectivity(class, attr)),
+                    BinOp::Ne => Some((1.0 - self.eq_selectivity(class, attr)).max(0.0)),
+                    BinOp::Lt => Some(self.range_selectivity(attr, None, Some((v, false)))),
+                    BinOp::Le => Some(self.range_selectivity(attr, None, Some((v, true)))),
+                    BinOp::Gt => Some(self.range_selectivity(attr, Some((v, false)), None)),
+                    BinOp::Ge => Some(self.range_selectivity(attr, Some((v, true)), None)),
                     _ => None,
                 }
             }
@@ -173,7 +251,8 @@ impl<'a> Estimator<'a> {
     }
 }
 
-fn flip(op: BinOp) -> BinOp {
+/// Mirror a comparison so its operands can swap sides.
+pub(crate) fn flip(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,

@@ -12,8 +12,8 @@ pub mod names {
     pub const ANALYZE_MICROS: &str = "query.analyze_micros";
     /// Counter: statistics collection runs completed.
     pub const ANALYZE_RUNS: &str = "query.analyze_runs";
-    /// Counter: plans costed with the pre-statistics heuristics (no
-    /// statistics were available).
+    /// Counter: plans costed from the default priors alone (no statistics
+    /// had been collected).
     pub const ESTIMATE_FALLBACKS: &str = "query.estimate_fallbacks";
     /// Counter: plans costed from collected statistics.
     pub const ESTIMATE_STATS_USED: &str = "query.estimate_stats_used";

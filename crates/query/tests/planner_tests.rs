@@ -1,9 +1,10 @@
 //! Optimizer behaviour: join strategies, perspective reordering with the
-//! semantics-preserving sort, and correctness under a pressured buffer pool.
+//! semantics-preserving sort, the default priors an un-analyzed database is
+//! priced with, and correctness under a pressured buffer pool.
 
 use sim_ddl::university_catalog;
 use sim_luc::Mapper;
-use sim_query::QueryEngine;
+use sim_query::{AccessPath, Plan, QueryEngine};
 use sim_types::Value;
 use std::sync::Arc;
 
@@ -129,4 +130,69 @@ fn plan_explanations_name_the_strategy() {
     let plan = e.explain("From student Retrieve name Where soc-sec-no = 6001.").unwrap();
     assert!(plan.explanation[0].contains("index probe"));
     assert!(plan.estimated_io > 0.0);
+}
+
+/// The four probe shapes of the priors test, in a fixed order.
+fn prior_probe_plans(e: &QueryEngine) -> [Plan; 4] {
+    [
+        // UNIQUE attribute: at most one match, known without statistics.
+        "From student Retrieve name Where soc-sec-no = 6500.",
+        // Secondary index, distinct count unknown until analyzed.
+        "From student Retrieve soc-sec-no Where name = \"S500\".",
+        // The last 5 of 1000 students.
+        "From student Retrieve name Where soc-sec-no >= 6995.",
+        // All but the first 100.
+        "From student Retrieve name Where soc-sec-no >= 6100.",
+    ]
+    .map(|q| e.explain(q).unwrap())
+}
+
+#[test]
+fn one_cost_model_prices_priors_and_statistics_alike() {
+    let mut e = engine_with_pool(4096);
+    populate(&mut e, 1000);
+    let person = e.mapper().catalog().class_by_name("person").unwrap().id;
+    let name = e.mapper().catalog().resolve_attr(person, "name").unwrap();
+    e.mapper_mut().create_index(name).unwrap();
+    let counter = |e: &QueryEngine, name: &str| e.registry().snapshot().counter(name);
+    let is_probe = |p: &Plan| matches!(p.access[0], AccessPath::IndexEq { .. });
+    let is_scan = |p: &Plan| matches!(p.access[0], AccessPath::FullScan { .. });
+
+    // Never analyzed: every estimate is a default prior.
+    let [unique, secondary, short, wide] = prior_probe_plans(&e);
+    for plan in [&unique, &secondary, &short, &wide] {
+        assert!(!plan.used_statistics, "{:?}", plan.explanation);
+        assert!(plan.explanation.last().unwrap().ends_with("(from default priors)"));
+    }
+    assert!(is_probe(&unique), "{:?}", unique.explanation);
+    assert!(unique.estimated_rows <= 1.0);
+    assert!(is_probe(&secondary), "{:?}", secondary.explanation);
+    assert_eq!(secondary.estimated_rows, 5.0, "EQ_SELECTIVITY prior: 1000 / 200");
+    // No histogram: both ranges are a third of the class, dearer through
+    // the index than a scan, so neither can be told short from wide.
+    for range in [&short, &wide] {
+        assert!(is_scan(range), "{:?}", range.explanation);
+        assert!((range.estimated_rows - 1000.0 / 3.0).abs() < 1e-6);
+    }
+    assert_eq!(counter(&e, "query.estimate_fallbacks"), 4);
+    assert_eq!(counter(&e, "query.estimate_stats_used"), 0);
+
+    // Analyzed: the same code path, now fed measured inputs.
+    e.analyze().unwrap();
+    let [unique, secondary, short, wide] = prior_probe_plans(&e);
+    for plan in [&unique, &secondary, &short, &wide] {
+        assert!(plan.used_statistics, "{:?}", plan.explanation);
+        assert!(plan.explanation.last().unwrap().ends_with("(from statistics)"));
+    }
+    assert!(is_probe(&unique), "{:?}", unique.explanation);
+    assert!(is_probe(&secondary), "{:?}", secondary.explanation);
+    assert!(secondary.estimated_rows <= 2.0, "measured: every name is distinct");
+    assert!(
+        matches!(short.access[0], AccessPath::IndexRange { .. }),
+        "a short range walks the B-tree: {:?}",
+        short.explanation
+    );
+    assert!(is_scan(&wide), "a wide range scans: {:?}", wide.explanation);
+    assert_eq!(counter(&e, "query.estimate_fallbacks"), 4);
+    assert_eq!(counter(&e, "query.estimate_stats_used"), 4);
 }

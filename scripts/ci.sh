@@ -75,8 +75,16 @@ else
     echo "   miri component not installed; skipping (rustup +nightly component add miri)"
 fi
 
-echo "== bench harness (compile + unit tests, no timing loops)"
+echo "== bench harness + relational baseline (compile + unit tests, no timing loops)"
+# crates/bench is its own workspace; its default members are the harness
+# and crates/bench/relational, the baseline engine only E6/E10 use.
 (cd crates/bench && cargo clippy --all-targets --features bench -- -D warnings && cargo test -q)
+
+echo "== sim-bench (the BENCHMARK.json benchmark): builds against the public API, seed-42 digests"
+# simbench/ is frozen between benchmark PRs. A refactor that breaks its use
+# of the engine's API, or changes a pinned result digest, must fail here
+# rather than in the benchmark driver.
+(cd simbench && cargo test -q --offline)
 
 echo "== PR4 bench smoke (check mode): group-commit fsyncs/txn + plan-cache hit ratio"
 # Asserts < 1 fsync per committed txn when batched (>= 5x amortization) and

@@ -17,7 +17,6 @@ pub mod crates {
     pub use sim_obs as obs;
     pub use sim_oracle as oracle;
     pub use sim_query as query;
-    pub use sim_relational as relational;
     pub use sim_server as server;
     pub use sim_storage as storage;
     pub use sim_types as types;

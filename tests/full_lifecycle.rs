@@ -221,7 +221,7 @@ fn hash_index_serves_equality_but_not_ranges() {
 
     let eq = "From person Retrieve soc-sec-no Where name = \"H-7\".";
     let plan = db.explain(eq).unwrap();
-    assert!(plan.explanation[0].contains("index probe"), "{:?}", plan.explanation);
+    assert!(plan.explanation[0].contains("hash probe"), "{:?}", plan.explanation);
     assert_eq!(db.query(eq).unwrap().rows().len(), 10);
     // Maintained on update.
     db.run_one("Modify person (name := \"H-7\") Where soc-sec-no = 0.").unwrap();
