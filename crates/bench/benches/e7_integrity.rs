@@ -81,7 +81,8 @@ fn bench_integrity(c: &mut Criterion) {
                 k += 1;
                 db.run_one(&update(k)).unwrap();
                 for cv in &compiled {
-                    assert!(cv.check(db.mapper(), None).unwrap().is_none());
+                    let plan = sim_query::optimizer::plan(db.mapper(), &cv.bound).unwrap();
+                    assert!(cv.check(db.mapper(), &cv.bound, &plan, None).unwrap().is_none());
                 }
             })
         });

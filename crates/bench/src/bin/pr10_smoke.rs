@@ -1,16 +1,16 @@
 //! PR 10 smoke bench, check mode: on skewed data the cost-based plans
-//! chosen after `\analyze` must beat the heuristic plans by at least
-//! [`MIN_RATIO`]× in measured block reads. Hard CI gates, dumped as
+//! chosen after `\analyze` must beat the priors-only plans chosen before
+//! it by at least [`MIN_RATIO`]× in measured block reads. Hard CI gates, dumped as
 //! `BENCH_pr10.json` (to `$SIM_METRICS_DIR`, default `target/metrics/`).
 //! Run with `--release`.
 //!
 //! Methodology: two classes, each with a low-cardinality skewed attribute
 //! (~90% of entities share one value) and a near-unique attribute, both
 //! B-tree indexed, padded so the heap spans many blocks. The probe query
-//! puts the skewed conjunct *first*: the pre-statistics heuristics price
-//! every non-unique equality at a flat 0.05 selectivity, so both probes
-//! tie and the tie breaks to the first conjunct — a probe that walks ~90%
-//! of the heap. After `analyze()`, per-attribute distinct counts price the
+//! puts the skewed conjunct *first*: without statistics the cost model
+//! prices every non-unique equality at the same default prior
+//! (`priors::EQ_SELECTIVITY`, 0.005), so both probes tie and the tie
+//! breaks to the first conjunct — a probe that walks ~90% of the heap. After `analyze()`, per-attribute distinct counts price the
 //! skewed probe honestly and the planner switches to the near-unique one.
 //! Each plan runs against a cold buffer pool (`clear_cache`) and is
 //! charged by `storage.block_reads` / `luc.entity_reads` counter deltas;
@@ -24,10 +24,10 @@ use sim_obs::json;
 /// Entities per class.
 const ROWS: usize = 1200;
 
-/// The gate: heuristic-plan block reads over cost-based-plan block reads.
+/// The gate: priors-only-plan block reads over cost-based-plan block reads.
 const MIN_RATIO: f64 = 2.0;
 
-/// The two probe queries, skewed conjunct first (the heuristic trap).
+/// The two probe queries, skewed conjunct first (the priors-only trap).
 const QUERIES: [&str; 2] = [
     "From shipment Retrieve code Where status = \"open\" and code = \"c00042\".",
     "From customer Retrieve tag Where region = \"west\" and tag = \"t00777\".",
@@ -84,8 +84,8 @@ fn main() {
     let mut db = Database::create_at(ddl, &dir).expect("durable skewed schema");
     populate(&mut db);
 
-    // The trap must actually spring: before analyze the flat-selectivity
-    // tie breaks to the first (skewed) conjunct's probe.
+    // The trap must actually spring: before analyze the equal-prior tie
+    // breaks to the first (skewed) conjunct's probe.
     let before_plan = db.explain(QUERIES[0]).expect("heuristic plan");
     assert!(!before_plan.used_statistics, "no statistics exist before analyze()");
     assert!(

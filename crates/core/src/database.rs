@@ -397,12 +397,6 @@ impl Database {
         self.engine.registry().reset();
     }
 
-    /// Buffer-pool hit ratio over the lifetime of this database
-    /// (`hits / (hits + misses)`; 0.0 before any access).
-    pub fn pool_hit_ratio(&self) -> f64 {
-        self.io_snapshot().hit_ratio()
-    }
-
     /// Toggle VERIFY enforcement (§3.3); on by default.
     pub fn set_enforce_verifies(&mut self, on: bool) {
         self.engine.enforce_verifies = on;

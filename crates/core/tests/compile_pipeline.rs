@@ -1,10 +1,53 @@
-//! Every entry point that turns retrieve text into a plan goes through the
-//! engine's one compile pipeline (DESIGN.md §10): the EXPLAIN family
-//! reports one plan, a plan the verifier rejects is rejected on every
-//! route, and the phase metrics advance once per compile whoever asked.
+//! Every plan the engine executes comes from its one plan step (DESIGN.md
+//! §10): the EXPLAIN family reports one plan, a plan the verifier rejects
+//! is rejected on every route — retrieves, update selections and VERIFY
+//! checks alike — and the phase metrics advance once per compile whoever
+//! asked.
 
-use sim_core::{Database, MetricsSnapshot, SimError};
+use sim_core::{Database, MetricsSnapshot, QueryOutput, SimError};
 use sim_testkit::PlanBug;
+
+/// Update routes whose selections each host an EVA traversal: WHERE on
+/// MODIFY and DELETE, INSERT…FROM, `:= class WITH (…)` and
+/// `EXCLUDE eva WITH (…)`. Every other selection they plan has none.
+const UPDATE_ROUTES: [(&str, &str); 5] = [
+    ("modify where", "Modify student (name := \"X\") Where name of advisor = \"I0\"."),
+    ("delete where", "Delete student Where name of advisor = \"I0\"."),
+    (
+        "insert from",
+        "Insert teaching-assistant From student Where name of advisor = \"I0\" \
+         (employee-nbr := 1500).",
+    ),
+    (
+        "set with",
+        "Modify student (advisor := instructor with (name of advisees = \"S1\")) \
+         Where soc-sec-no = 6000.",
+    ),
+    (
+        "exclude with",
+        "Modify instructor (advisees := exclude advisees with (name of advisor = \"I0\")) \
+         Where employee-nbr = 1001.",
+    ),
+];
+
+/// What the update routes could change, read without EVA traversal nodes
+/// (aggregate chains are not traversal nodes), so the mutator leaves these
+/// retrieves alone.
+fn university_state(db: &Database) -> Vec<QueryOutput> {
+    [
+        "From person Retrieve name, soc-sec-no.",
+        "From instructor Retrieve name, count(advisees).",
+        "From teaching-assistant Retrieve name.",
+    ]
+    .map(|q| db.query(q).unwrap())
+    .to_vec()
+}
+
+/// A schema whose VERIFY assertion traverses an EVA (UNIVERSITY's do not).
+const BUDGET_DDL: &str =
+    "Class Dept ( dept-no: integer unique required; budget: integer; staff: Emp inverse is dept mv );
+     Class Emp ( emp-no: integer unique required; salary: integer; dept: Dept inverse is staff );
+     Verify within-budget on Emp assert salary <= budget of dept else \"over budget\";";
 
 fn populated_university() -> Database {
     let mut db = Database::university();
@@ -81,11 +124,37 @@ fn a_plan_the_verifier_rejects_is_rejected_on_every_route() {
     assert_rejected("run", db.run(q).unwrap_err());
     assert_rejected("open_cursor", db.open_cursor(q).unwrap_err());
 
+    let violations = |db: &Database| db.metrics().counter("query.plan_verify_violations");
+    let before = university_state(&db);
+    for (route, stmt) in UPDATE_ROUTES {
+        let counted = violations(&db);
+        assert_rejected(route, db.run_one(stmt).unwrap_err());
+        assert_eq!(violations(&db), counted + 1, "{route}");
+        assert_eq!(university_state(&db), before, "{route} left the database unchanged");
+    }
+
     let db = db.into_concurrent();
     let mut session = db.session();
     assert_rejected("prepare", session.prepare(q).unwrap_err());
     assert_rejected("session query", session.query(q).unwrap_err());
-    assert_eq!(db.metrics().counter("query.plan_verify_violations"), 7);
+    assert_eq!(db.metrics().counter("query.plan_verify_violations"), 12);
+
+    // A triggered VERIFY: the statement's own selection hosts no EVA, the
+    // constraint's assertion does.
+    let mut db = Database::create(BUDGET_DDL).unwrap();
+    db.run(
+        "Insert dept(dept-no := 1, budget := 100).
+         Insert emp(emp-no := 1, salary := 10, dept := dept with (dept-no = 1)).",
+    )
+    .unwrap();
+    db.set_plan_mutator(Some(bug.mutator(&db.mapper().shared_catalog())));
+    assert_rejected(
+        "verify",
+        db.run_one("Modify emp (salary := 20) Where emp-no = 1.").unwrap_err(),
+    );
+    assert_eq!(violations(&db), 1);
+    let salaries = db.query("From emp Retrieve salary.").unwrap();
+    assert_eq!(salaries.rows(), &[vec![sim_core::Value::Int(10)]], "rolled back");
 }
 
 /// (bind observations, optimize observations, plans counted by estimate

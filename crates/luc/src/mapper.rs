@@ -726,13 +726,15 @@ impl Mapper {
 
     /// Remove a role from an entity: the role, all its subclass roles, and
     /// every relationship instance those roles participate in (§4.8, §5.1).
-    /// Removing the base-class role deletes the entity entirely.
+    /// Removing the base-class role deletes the entity entirely. Returns
+    /// the removed roles (`class` and the subclass roles the entity held),
+    /// in family order.
     pub fn delete_role(
         &mut self,
         txn: &mut Txn,
         surr: Surrogate,
         class: ClassId,
-    ) -> Result<(), MapperError> {
+    ) -> Result<Vec<ClassId>, MapperError> {
         let family = self.family_index(class)?;
         let loaded = self.load(family, surr)?;
         let gone = self.bits_with_descendants(class) & loaded.rec.roles;
@@ -744,9 +746,9 @@ impl Mapper {
         }
 
         // Collect the removed classes (in family order).
-        let fam_classes = self.family_layout(family).classes.clone();
+        let fam_layout = self.family_layout(family).clone();
         let removed: Vec<ClassId> =
-            fam_classes.iter().copied().filter(|c| gone & self.bit_of(*c) != 0).collect();
+            fam_layout.classes.iter().copied().filter(|c| gone & self.bit_of(*c) != 0).collect();
 
         // Detach everything owned by the removed roles.
         for &c in &removed {
@@ -755,10 +757,8 @@ impl Mapper {
 
         // Rewrite or delete the main record.
         let mut loaded = self.load(family, surr)?; // reload: detach may have rewritten it
-        let fam_layout = self.family_layout(family).clone();
         loaded.rec.remove_roles(gone, &fam_layout);
-        let remaining = loaded.rec.roles;
-        if remaining == 0 {
+        if loaded.rec.roles == 0 {
             let file = self.families[family].tree_file;
             let idx = self.families[family].surr_index;
             self.engine.heap_delete(txn, file, loaded.rid)?;
@@ -773,8 +773,7 @@ impl Mapper {
         }
 
         // Remove aux records of removed multiply-derived roles.
-        let aux_classes = self.family_layout(family).aux_classes.clone();
-        for (aux_idx, c) in aux_classes.iter().enumerate() {
+        for (aux_idx, c) in fam_layout.aux_classes.iter().enumerate() {
             if gone & self.bit_of(*c) != 0 {
                 let (file, idx) = self.families[family].aux[aux_idx];
                 if let Some(rid_bytes) = self.engine.btree_lookup_first(idx, &surr_key(surr))? {
@@ -787,7 +786,7 @@ impl Mapper {
         }
 
         self.bump_counts(gone, family, -1);
-        Ok(())
+        Ok(removed)
     }
 
     fn bump_counts(&mut self, bits: u64, family: usize, delta: i64) {

@@ -215,14 +215,7 @@ impl Mapper {
     ) -> Result<Vec<Surrogate>, MapperError> {
         self.stats.eva_traversals.inc();
         let out = self.read_attr(surr, attr)?;
-        Ok(out
-            .into_values()
-            .into_iter()
-            .filter_map(|v| match v {
-                Value::Entity(s) => Some(s),
-                _ => None,
-            })
-            .collect())
+        Ok(out.into_values().iter().filter_map(Value::as_entity).collect())
     }
 
     // ----- field access ------------------------------------------------------------
@@ -990,10 +983,7 @@ impl Mapper {
             }
             let partner = match value {
                 AttrValue::Scalar(Value::Entity(p)) => Some(*p),
-                AttrValue::Multi(vs) => vs.iter().find_map(|v| match v {
-                    Value::Entity(p) => Some(*p),
-                    _ => None,
-                }),
+                AttrValue::Multi(vs) => vs.iter().find_map(Value::as_entity),
                 _ => None,
             };
             if let Some(p) = partner {

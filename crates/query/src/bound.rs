@@ -47,6 +47,28 @@ pub enum NodeOrigin {
     },
 }
 
+impl NodeOrigin {
+    /// The traversal step deriving the node from its parent's instance;
+    /// `None` for perspectives and `AS` restrictions.
+    pub fn step(&self) -> Option<ChainStep> {
+        match self {
+            NodeOrigin::Eva { attr } => Some(ChainStep::Eva(*attr)),
+            NodeOrigin::MvDva { attr } => Some(ChainStep::MvDva(*attr)),
+            NodeOrigin::Transitive { attr } => Some(ChainStep::Transitive(*attr)),
+            NodeOrigin::Perspective { .. } | NodeOrigin::Restrict { .. } => None,
+        }
+    }
+}
+
+impl ChainStep {
+    /// The attribute the step follows.
+    pub fn attr(&self) -> AttrId {
+        match self {
+            ChainStep::Eva(a) | ChainStep::MvDva(a) | ChainStep::Transitive(a) => *a,
+        }
+    }
+}
+
 /// One range variable of the query tree.
 #[derive(Debug, Clone)]
 pub struct QtNode {
@@ -170,16 +192,6 @@ pub struct BoundQuery {
     pub type13_order: Vec<usize>,
     /// TYPE 2 nodes in depth-first order (the existential nest).
     pub type2_order: Vec<usize>,
-}
-
-/// One output row, with the node instances that produced it (used by
-/// structured output and ORDER BY).
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Target values.
-    pub values: Vec<Value>,
-    /// Per TYPE 1/3 node (in `type13_order`): the instance and its level.
-    pub node_instances: Vec<(Value, u32)>,
 }
 
 /// A structured-output record (§4.5 "fully structured" form).

@@ -1,12 +1,14 @@
 //! The Query Driver: the facade that parses, analyzes, optimizes, executes
 //! and enforces integrity (Figure 1 of the paper).
 //!
-//! Every statement takes one route. A retrieve becomes a plan in
-//! `compile` (bind → optimize → estimate-source counter → test mutator),
-//! reached through `cached_or_compile` (plan-cache lookup in front, plan
-//! verifier behind). An update is applied by [`QueryEngine::execute_in`]
-//! under a statement-level savepoint that is rolled back on every error
-//! exit; autocommit is that plus begin and commit-or-abort.
+//! Every statement takes one route. Every plan the engine executes comes
+//! from one plan step (optimize → estimate-source counter → test mutator →
+//! plan verifier): a retrieve's after binding, behind the plan-cache
+//! lookup of `cached_or_compile`; an update's selections and its triggered
+//! VERIFY checks uncached, per statement. An update is compiled, then
+//! applied by [`QueryEngine::execute_in`] under a statement-level
+//! savepoint that is rolled back on every error exit; autocommit is that
+//! plus begin and commit-or-abort.
 //!
 //! Every statement is measured: phase latencies land in the `query.*`
 //! histograms of the engine-wide metrics registry, and the most recent
@@ -43,10 +45,10 @@ pub const DEFAULT_SLOW_QUERY_MICROS: u64 = 1_000_000;
 
 /// A static plan-verification pass, installed by the embedding layer
 /// (`sim-core` wires in `sim-check`'s `SIM-P2xx` abstract interpreter; the
-/// closure indirection keeps the crate graph acyclic). Called on every
-/// plan-cache *miss* — i.e. once per freshly optimized plan, making the
-/// cache verified-by-construction — and expected to return
-/// [`QueryError::PlanVerify`] when the plan must not execute.
+/// closure indirection keeps the crate graph acyclic). Called once per
+/// freshly optimized plan — each plan-cache miss, update selection and
+/// VERIFY check, making the cache verified-by-construction — and expected
+/// to return [`QueryError::PlanVerify`] when the plan must not execute.
 pub type PlanVerifier =
     Arc<dyn Fn(&Mapper, &BoundQuery, &Plan) -> Result<(), QueryError> + Send + Sync>;
 
@@ -79,13 +81,6 @@ impl ExecResult {
             ExecResult::Updated(n) => *n,
             ExecResult::Rows(_) => panic!("statement was a retrieve"),
         }
-    }
-}
-
-fn output_len(out: &QueryOutput) -> usize {
-    match out {
-        QueryOutput::Table { rows, .. } => rows.len(),
-        QueryOutput::Structure { records, .. } => records.len(),
     }
 }
 
@@ -174,8 +169,8 @@ impl QueryEngine {
         self.last_plan_cached.load(Ordering::Relaxed)
     }
 
-    /// Install a plan-verification pass; it runs on every plan-cache miss
-    /// (each freshly optimized plan) before the plan is cached or executed.
+    /// Install a plan-verification pass; it runs on each freshly optimized
+    /// plan before the plan is cached or executed.
     pub fn set_plan_verifier(&mut self, verifier: PlanVerifier) {
         self.plan_verifier = Some(verifier);
     }
@@ -385,7 +380,9 @@ impl QueryEngine {
     /// instead of the pass/fail verdict the execution paths act on.
     pub fn prepare_retrieve(&self, source: &str) -> Result<(BoundQuery, Plan), QueryError> {
         let r = self.parse_one_retrieve(source, "prepare_retrieve()")?;
-        self.compile(&r, &mut TraceBuilder::new(source))
+        let mut tb = TraceBuilder::new(source);
+        let bound = self.bind(&r, &mut tb)?;
+        self.optimize(bound, &mut tb)
     }
 
     /// Prepare a single statement for repeated execution: parse it,
@@ -437,19 +434,24 @@ impl QueryEngine {
         }
     }
 
-    /// The one compile pipeline: bind → optimize → count the estimate
-    /// source → apply the test-only mutator. Every plan this engine ever
-    /// holds was produced here.
-    fn compile(
-        &self,
-        r: &RetrieveStmt,
-        tb: &mut TraceBuilder,
-    ) -> Result<(BoundQuery, Plan), QueryError> {
+    /// Bind a retrieve: the `bind` phase in front of the plan step.
+    fn bind(&self, r: &RetrieveStmt, tb: &mut TraceBuilder) -> Result<BoundQuery, QueryError> {
         let t = tb.start();
-        let mut bound = Binder::bind_retrieve(self.mapper.catalog(), r)?;
+        let bound = Binder::bind_retrieve(self.mapper.catalog(), r)?;
         let micros = tb.finish(t, "bind", vec![("nodes".into(), bound.nodes.len().to_string())]);
         self.phase.bind.observe_micros(micros);
+        Ok(bound)
+    }
 
+    /// Optimize → count the estimate source → apply the test-only mutator:
+    /// the plan step up to the verifier. Only [`QueryEngine::plan`] and
+    /// [`QueryEngine::prepare_retrieve`] (which reports rather than gates)
+    /// call it.
+    fn optimize(
+        &self,
+        mut bound: BoundQuery,
+        tb: &mut TraceBuilder,
+    ) -> Result<(BoundQuery, Plan), QueryError> {
         let t = tb.start();
         let mut plan = optimizer::plan(&self.mapper, &bound)?;
         let micros = tb.finish(
@@ -470,11 +472,36 @@ impl QueryEngine {
         Ok((bound, plan))
     }
 
+    /// The one plan step: [`QueryEngine::optimize`], then the plan
+    /// verifier. Every plan this engine executes comes from here —
+    /// retrieves (behind the plan cache), update selections, partner
+    /// filters and VERIFY checks (never cached: their texts carry
+    /// per-statement constants).
+    pub(crate) fn plan(
+        &self,
+        bound: BoundQuery,
+        tb: &mut TraceBuilder,
+    ) -> Result<(BoundQuery, Plan), QueryError> {
+        let (bound, plan) = self.optimize(bound, tb)?;
+        if let Some(verifier) = &self.plan_verifier {
+            let t = tb.start();
+            let verdict = verifier(&self.mapper, &bound, &plan);
+            // No fields: a failed verdict returns before the trace is
+            // recorded, so an ok-flag would always read `true`.
+            let micros = tb.finish(t, "plan-verify", Vec::new());
+            self.phase.plan_verify.observe_micros(micros);
+            if let Err(e) = verdict {
+                self.phase.plan_verify_violations.inc();
+                return Err(e);
+            }
+        }
+        Ok((bound, plan))
+    }
+
     /// The plan to execute for a retrieve: the cached entry for its
-    /// normalized text, else a fresh [`QueryEngine::compile`] that must
-    /// pass the plan verifier — the only place the verifier gates
-    /// execution, so the cache is verified by construction. `use_cache`
-    /// off (EXPLAIN) neither reads nor warms the cache.
+    /// normalized text, else a fresh bind and [`QueryEngine::plan`], so
+    /// the cache is verified by construction. `use_cache` off (EXPLAIN)
+    /// neither reads nor warms the cache.
     ///
     /// `parsed` carries the statement when the caller already parsed it;
     /// `None` defers parsing until a cache miss proves it necessary, so a
@@ -506,19 +533,8 @@ impl QueryEngine {
                 &fresh
             }
         };
-        let (bound, plan) = self.compile(r, tb)?;
-        if let Some(verifier) = &self.plan_verifier {
-            let t = tb.start();
-            let verdict = verifier(&self.mapper, &bound, &plan);
-            // No fields: a failed verdict returns before the trace is
-            // recorded, so an ok-flag would always read `true`.
-            let micros = tb.finish(t, "plan-verify", Vec::new());
-            self.phase.plan_verify.observe_micros(micros);
-            if let Err(e) = verdict {
-                self.phase.plan_verify_violations.inc();
-                return Err(e);
-            }
-        }
+        let bound = self.bind(r, tb)?;
+        let (bound, plan) = self.plan(bound, tb)?;
         let entry = CachedPlan { bound: Arc::new(bound), plan: Arc::new(plan) };
         if use_cache {
             self.plan_cache.insert(&key, generation, entry.clone());
@@ -552,7 +568,7 @@ impl QueryEngine {
         let t = tb.start();
         let out = executor.run()?;
         let io = self.mapper.engine().io_snapshot().since(&io_before);
-        let rows = output_len(&out);
+        let rows = out.len();
         let wall = tb.finish(
             t,
             "execute",
@@ -670,29 +686,24 @@ impl QueryEngine {
         Ok(ExecResult::Rows(out))
     }
 
-    /// Apply one update to `txn` and check the VERIFY constraints it
-    /// triggers. Never rolls back: on `Err` the caller owns the undo.
+    /// Compile one update, apply it to `txn` and check the VERIFY
+    /// constraints it triggers. Never rolls back: on `Err` the caller owns
+    /// the undo.
     fn apply_update(
         &mut self,
         txn: &mut Txn,
         stmt: &Statement,
         tb: &mut TraceBuilder,
     ) -> Result<usize, QueryError> {
+        let compiled = self.compile_update(stmt, tb)?;
         let mut writes = WriteSet::default();
         let t = tb.start();
-        let count = match stmt {
-            Statement::Insert(i) => update::exec_insert(&mut self.mapper, txn, i, &mut writes),
-            Statement::Modify(m) => update::exec_modify(&mut self.mapper, txn, m, &mut writes),
-            Statement::Delete(d) => update::exec_delete(&mut self.mapper, txn, d, &mut writes),
-            Statement::Retrieve(_) => {
-                Err(QueryError::Internal("retrieve dispatched as update".into()))
-            }
-        }?;
+        let count = update::apply(&mut self.mapper, txn, compiled, &mut writes)?;
         let micros = tb.finish(t, "execute", vec![("updated".into(), count.to_string())]);
         self.phase.execute.observe_micros(micros);
         if self.enforce_verifies {
             let t = tb.start();
-            let violation = self.find_violation(&writes)?;
+            let violation = self.find_violation(&writes, tb)?;
             let micros = tb.finish(
                 t,
                 "verify",
@@ -707,13 +718,24 @@ impl QueryEngine {
         Ok(count)
     }
 
-    fn find_violation(&self, writes: &WriteSet) -> Result<Option<(String, String)>, QueryError> {
+    /// The first triggered VERIFY constraint the write set violates. Each
+    /// check runs a plan from [`QueryEngine::plan`], made unless the
+    /// trigger localized to no entity at all.
+    fn find_violation(
+        &self,
+        writes: &WriteSet,
+        tb: &mut TraceBuilder,
+    ) -> Result<Option<(String, String)>, QueryError> {
         for cv in &self.verifies {
             if !cv.triggered(self.mapper.catalog(), writes) {
                 continue;
             }
             let affected = cv.affected_entities(&self.mapper, writes)?;
-            if cv.check(&self.mapper, affected)?.is_some() {
+            if affected.as_ref().is_some_and(Vec::is_empty) {
+                continue;
+            }
+            let (bound, plan) = self.plan(cv.bound.clone(), tb)?;
+            if cv.check(&self.mapper, &bound, &plan, affected)?.is_some() {
                 return Ok(Some((cv.name.clone(), cv.message.clone())));
             }
         }

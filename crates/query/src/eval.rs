@@ -6,7 +6,7 @@
 
 use crate::bound::{BExpr, BoundChain, ChainStep};
 use crate::error::QueryError;
-use sim_catalog::AttrId;
+use sim_catalog::{AttrId, ClassId};
 use sim_dml::{AggFunc, BinOp, Quantifier};
 use sim_luc::{AttrOut, Mapper};
 use sim_types::{pattern, ArithOp, Surrogate, Truth, Value};
@@ -201,27 +201,13 @@ pub fn chain_values(
         (None, Some(class)) => mapper.entities_of(class)?.into_iter().map(Value::Entity).collect(),
         (None, None) => Vec::new(),
     };
+    let mut reached = Vec::new();
     for step in &chain.steps {
-        let mut next = Vec::new();
         for v in &current {
             let Value::Entity(s) = v else { continue };
-            match step {
-                ChainStep::Eva(attr) => {
-                    next.extend(mapper.eva_partners(*s, *attr)?.into_iter().map(Value::Entity));
-                }
-                ChainStep::MvDva(attr) => {
-                    next.extend(mapper.read_attr(*s, *attr)?.into_values());
-                }
-                ChainStep::Transitive(attr) => {
-                    next.extend(
-                        transitive_closure(mapper, *s, *attr)?
-                            .into_iter()
-                            .map(|(e, _)| Value::Entity(e)),
-                    );
-                }
-            }
+            traverse(mapper, *s, step, None, 1, &mut reached)?;
         }
-        current = next;
+        current = reached.drain(..).map(|(v, _)| v).collect();
     }
     if let Some(attr) = chain.terminal {
         let mut out = Vec::with_capacity(current.len());
@@ -235,6 +221,63 @@ pub fn chain_values(
         current = out;
     }
     Ok(current)
+}
+
+/// Append to `out` the values one traversal step reaches from entity
+/// `from` — EVA partners, MV DVA values, or the transitive closure (§4.4,
+/// §4.7) — each with its level: `level` for a single hop, `level + k - 1`
+/// at closure depth `k`. The executor's node domains, aggregate chains and
+/// VERIFY's inverse trigger walk all enumerate through here. With a `role`
+/// filter (an `AS <subclass>` conversion, §4.2) only entities holding it
+/// are appended.
+pub fn traverse(
+    mapper: &Mapper,
+    from: Surrogate,
+    step: &ChainStep,
+    role: Option<ClassId>,
+    level: u32,
+    out: &mut Vec<(Value, u32)>,
+) -> Result<(), QueryError> {
+    let start = out.len();
+    match step {
+        ChainStep::Eva(attr) => {
+            let partners = mapper.eva_partners(from, *attr)?;
+            out.extend(partners.into_iter().map(|p| (Value::Entity(p), level)));
+        }
+        ChainStep::MvDva(attr) => {
+            let values = mapper.read_attr(from, *attr)?.into_values();
+            out.extend(values.into_iter().map(|v| (v, level)));
+        }
+        ChainStep::Transitive(attr) => {
+            let closure = transitive_closure(mapper, from, *attr)?;
+            out.extend(closure.into_iter().map(|(e, k)| (Value::Entity(e), level + k - 1)));
+        }
+    }
+    if let Some(role) = role {
+        retain_role(mapper, out, start, role, |(v, _)| v.as_entity())?;
+    }
+    Ok(())
+}
+
+/// Keep, in order, the items from `start` on whose entity holds `role`
+/// (items without an entity stay). A failed role read is an error, never a
+/// silently missing row.
+pub fn retain_role<T>(
+    mapper: &Mapper,
+    items: &mut Vec<T>,
+    start: usize,
+    role: ClassId,
+    entity: impl Fn(&T) -> Option<Surrogate>,
+) -> Result<(), QueryError> {
+    let mut kept = start;
+    for i in start..items.len() {
+        if entity(&items[i]).map_or(Ok(true), |e| mapper.has_role(e, role))? {
+            items.swap(kept, i);
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
+    Ok(())
 }
 
 /// Transitive closure of an EVA from one entity (§4.7): every *path* from

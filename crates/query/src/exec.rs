@@ -8,9 +8,9 @@
 //! multi-format records.
 
 use crate::analyze::NodeActuals;
-use crate::bound::{BoundQuery, NodeOrigin, NodeType, QueryOutput, Row, StructRecord};
+use crate::bound::{BoundQuery, NodeOrigin, NodeType, QueryOutput, StructRecord};
 use crate::error::QueryError;
-use crate::eval::{eval, transitive_closure, value_to_truth, EvalCtx};
+use crate::eval::{eval, retain_role, traverse, value_to_truth, EvalCtx};
 use crate::optimizer::{AccessPath, Plan};
 use sim_luc::Mapper;
 use sim_types::{ordered, Truth, Value};
@@ -387,85 +387,40 @@ impl<'a> Executor<'a> {
                     })?;
                 let pos = self.plan.root_order.iter().position(|&x| x == ri).unwrap_or(ri);
                 let access = self.plan.access.get(pos);
-                let surrs = match access {
-                    None | Some(AccessPath::FullScan { .. }) => self.mapper.entities_of(*class)?,
+                let mut surrs = match access {
+                    None | Some(AccessPath::FullScan { .. }) => {
+                        let all = self.mapper.entities_of(*class)?;
+                        return Ok(all.into_iter().map(|s| (Value::Entity(s), depth)).collect());
+                    }
                     Some(AccessPath::IndexEq { attr, value, method, .. }) => {
                         let v = eval(self.mapper, value, &ctx.eval)?;
                         if v.is_null() {
-                            Vec::new()
-                        } else {
-                            let prefer_hash = matches!(method, crate::optimizer::ProbeMethod::Hash);
-                            let mut s =
-                                self.mapper.lookup_eq(*attr, &v, prefer_hash)?.unwrap_or_default();
-                            // Keep only entities that actually hold the
-                            // perspective role (indexes live on superclass
-                            // attributes too).
-                            s.retain(|x| self.mapper.has_role(*x, *class).unwrap_or(false));
-                            s.sort();
-                            s
+                            return Ok(Vec::new());
                         }
+                        let prefer_hash = matches!(method, crate::optimizer::ProbeMethod::Hash);
+                        self.mapper.lookup_eq(*attr, &v, prefer_hash)?.unwrap_or_default()
                     }
-                    Some(AccessPath::IndexRange { attr, lo, hi, hi_inclusive, .. }) => {
-                        let mut s = self
-                            .mapper
-                            .lookup_range(*attr, lo.as_ref(), hi.as_ref(), *hi_inclusive)?
-                            .unwrap_or_default();
-                        s.retain(|x| self.mapper.has_role(*x, *class).unwrap_or(false));
-                        s.sort(); // restore surrogate (perspective) order
-                        s
-                    }
+                    Some(AccessPath::IndexRange { attr, lo, hi, hi_inclusive, .. }) => self
+                        .mapper
+                        .lookup_range(*attr, lo.as_ref(), hi.as_ref(), *hi_inclusive)?
+                        .unwrap_or_default(),
                 };
+                // Indexes live on superclass attributes too: keep only the
+                // holders of the perspective role, in surrogate
+                // (perspective) order.
+                retain_role(self.mapper, &mut surrs, 0, *class, |s| Some(*s))?;
+                surrs.sort();
                 Ok(surrs.into_iter().map(|s| (Value::Entity(s), depth)).collect())
             }
-            NodeOrigin::Eva { attr } => {
-                let parent = n
-                    .parent
-                    .ok_or_else(|| QueryError::Internal("EVA node has no parent".into()))?;
-                match ctx.eval.instance(parent) {
-                    Value::Entity(s) => {
-                        let mut partners = self.mapper.eva_partners(s, *attr)?;
-                        if let Some(filter) = n.role_filter {
-                            partners.retain(|p| self.mapper.has_role(*p, filter).unwrap_or(false));
-                        }
-                        Ok(partners.into_iter().map(|p| (Value::Entity(p), depth)).collect())
-                    }
-                    _ => Ok(Vec::new()),
+            NodeOrigin::Eva { .. } | NodeOrigin::MvDva { .. } | NodeOrigin::Transitive { .. } => {
+                let (Some(step), Some(parent)) = (n.origin.step(), n.parent) else {
+                    return Err(QueryError::Internal("traversal node has no parent".into()));
+                };
+                let mut domain = Vec::new();
+                if let Value::Entity(s) = ctx.eval.instance(parent) {
+                    traverse(self.mapper, s, &step, n.role_filter, depth, &mut domain)?;
                 }
-            }
-            NodeOrigin::MvDva { attr } => {
-                let parent = n
-                    .parent
-                    .ok_or_else(|| QueryError::Internal("MV DVA node has no parent".into()))?;
-                match ctx.eval.instance(parent) {
-                    Value::Entity(s) => Ok(self
-                        .mapper
-                        .read_attr(s, *attr)?
-                        .into_values()
-                        .into_iter()
-                        .map(|v| (v, depth))
-                        .collect()),
-                    _ => Ok(Vec::new()),
-                }
-            }
-            NodeOrigin::Transitive { attr } => {
-                let parent = n
-                    .parent
-                    .ok_or_else(|| QueryError::Internal("transitive node has no parent".into()))?;
-                match ctx.eval.instance(parent) {
-                    Value::Entity(s) => {
-                        let mut out = Vec::new();
-                        for (e, lvl) in transitive_closure(self.mapper, s, *attr)? {
-                            if let Some(filter) = n.role_filter {
-                                if !self.mapper.has_role(e, filter).unwrap_or(false) {
-                                    continue;
-                                }
-                            }
-                            out.push((Value::Entity(e), depth + lvl - 1));
-                        }
-                        Ok(out)
-                    }
-                    _ => Ok(Vec::new()),
-                }
+                Ok(domain)
             }
             NodeOrigin::Restrict { class } => {
                 let parent = n
@@ -486,10 +441,4 @@ struct InternalRow {
     values: Vec<Value>,
     node_instances: Vec<(Value, u32)>,
     order_keys: Vec<Value>,
-}
-
-impl From<InternalRow> for Row {
-    fn from(r: InternalRow) -> Row {
-        Row { values: r.values, node_instances: r.node_instances }
-    }
 }

@@ -18,25 +18,17 @@
 //! have only been partially implemented".
 
 use crate::bind::Binder;
-use crate::bound::{BExpr, BoundQuery, ChainStep, NodeOrigin};
+use crate::bound::{BExpr, BoundQuery, ChainStep};
 use crate::error::QueryError;
+use crate::eval::traverse;
 use crate::exec::Executor;
-use crate::optimizer;
 use crate::update::WriteSet;
+use crate::Plan;
 use sim_catalog::{AttrId, Catalog, ClassId, VerifyConstraint};
 use sim_dml::parse_expression;
 use sim_luc::Mapper;
 use sim_types::{Surrogate, Truth};
 use std::collections::{HashMap, HashSet};
-
-/// One step of a (reversible) trigger path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathStep {
-    /// A forward EVA hop.
-    Eva(AttrId),
-    /// A transitive closure hop.
-    Transitive(AttrId),
-}
 
 /// A compiled VERIFY constraint.
 #[derive(Debug)]
@@ -49,8 +41,9 @@ pub struct CompiledVerify {
     pub class: ClassId,
     /// The bound assertion (selection-only query).
     pub bound: BoundQuery,
-    /// Attribute → forward paths from the perspective to where it is read.
-    pub trigger_paths: HashMap<AttrId, Vec<Vec<PathStep>>>,
+    /// Attribute → forward paths from the perspective to where it is read
+    /// (EVA and transitive steps only: both reverse over the inverse EVA).
+    pub trigger_paths: HashMap<AttrId, Vec<Vec<ChainStep>>>,
     /// The assertion ranges over whole classes (global aggregate): affected
     /// entities cannot be localized.
     pub uses_global: bool,
@@ -66,24 +59,21 @@ pub fn compile(catalog: &Catalog, v: &VerifyConstraint) -> Result<CompiledVerify
     let expr = parse_expression(&v.assertion)?;
     let bound = Binder::bind_selection(catalog, v.class, &expr)?;
 
-    let mut trigger_paths: HashMap<AttrId, Vec<Vec<PathStep>>> = HashMap::new();
+    let mut trigger_paths: HashMap<AttrId, Vec<Vec<ChainStep>>> = HashMap::new();
     let mut uses_global = false;
 
-    // Path from the root to each node.
-    let node_path = |node: usize| -> Vec<PathStep> {
+    // Path from the root to each node: its EVA and transitive hops (an
+    // MV DVA node reaches values, an `AS` restriction the same entity).
+    let node_path = |node: usize| -> Vec<ChainStep> {
         let mut steps = Vec::new();
-        let mut cur = node;
-        loop {
-            match &bound.nodes[cur].origin {
-                NodeOrigin::Perspective { .. } => break,
-                NodeOrigin::Eva { attr } => steps.push(PathStep::Eva(*attr)),
-                NodeOrigin::Transitive { attr } => steps.push(PathStep::Transitive(*attr)),
-                NodeOrigin::MvDva { .. } | NodeOrigin::Restrict { .. } => {}
+        let mut cur = Some(node);
+        while let Some(n) = cur {
+            if let Some(step @ (ChainStep::Eva(_) | ChainStep::Transitive(_))) =
+                bound.nodes[n].origin.step()
+            {
+                steps.push(step);
             }
-            // A non-perspective node always has a parent; treat a missing
-            // one as the root so the walk still terminates.
-            let Some(parent) = bound.nodes[cur].parent else { break };
-            cur = parent;
+            cur = bound.nodes[n].parent;
         }
         steps.reverse();
         steps
@@ -91,27 +81,20 @@ pub fn compile(catalog: &Catalog, v: &VerifyConstraint) -> Result<CompiledVerify
 
     // Every EVA edge in the tree is itself a trigger (re-linking can change
     // the assertion's value).
-    for (i, node) in bound.nodes.iter().enumerate() {
-        match &node.origin {
-            NodeOrigin::Eva { attr }
-            | NodeOrigin::Transitive { attr }
-            | NodeOrigin::MvDva { attr } => {
-                let parent = node.parent.ok_or_else(|| {
-                    QueryError::Internal("traversal node bound without a parent".into())
-                })?;
-                trigger_paths.entry(*attr).or_default().push(node_path(parent));
-            }
-            NodeOrigin::Perspective { .. } | NodeOrigin::Restrict { .. } => {
-                let _ = i;
-            }
+    for node in &bound.nodes {
+        if let Some(step) = node.origin.step() {
+            let parent = node.parent.ok_or_else(|| {
+                QueryError::Internal("traversal node bound without a parent".into())
+            })?;
+            trigger_paths.entry(step.attr()).or_default().push(node_path(parent));
         }
     }
 
     // Walk the expression for attribute reads and chains.
     fn walk(
         e: &BExpr,
-        node_path: &dyn Fn(usize) -> Vec<PathStep>,
-        trigger_paths: &mut HashMap<AttrId, Vec<Vec<PathStep>>>,
+        node_path: &dyn Fn(usize) -> Vec<ChainStep>,
+        trigger_paths: &mut HashMap<AttrId, Vec<Vec<ChainStep>>>,
         uses_global: &mut bool,
     ) {
         match e {
@@ -130,18 +113,12 @@ pub fn compile(catalog: &Catalog, v: &VerifyConstraint) -> Result<CompiledVerify
                 let base = chain.anchor.map(node_path).unwrap_or_default();
                 let mut prefix = base;
                 for step in &chain.steps {
-                    let (attr, ps) = match step {
-                        ChainStep::Eva(a) => (*a, PathStep::Eva(*a)),
-                        ChainStep::MvDva(a) => {
-                            // The MV DVA itself triggers at the current
-                            // prefix.
-                            trigger_paths.entry(*a).or_default().push(prefix.clone());
-                            continue;
-                        }
-                        ChainStep::Transitive(a) => (*a, PathStep::Transitive(*a)),
-                    };
-                    trigger_paths.entry(attr).or_default().push(prefix.clone());
-                    prefix.push(ps);
+                    trigger_paths.entry(step.attr()).or_default().push(prefix.clone());
+                    // An MV DVA triggers here but reaches values, not
+                    // entities: later reads hang off the same prefix.
+                    if !matches!(step, ChainStep::MvDva(_)) {
+                        prefix.push(step.clone());
+                    }
                 }
                 if let Some(t) = chain.terminal {
                     trigger_paths.entry(t).or_default().push(prefix);
@@ -219,30 +196,12 @@ impl CompiledVerify {
                 let mut frontier: HashSet<Surrogate> = HashSet::new();
                 frontier.insert(*surr);
                 for step in path.iter().rev() {
-                    let mut prev = HashSet::new();
-                    match step {
-                        PathStep::Eva(a) => {
-                            let inv =
-                                mapper.catalog().attribute(*a)?.eva_inverse().ok_or_else(|| {
-                                    QueryError::Internal("trigger EVA has no inverse".into())
-                                })?;
-                            for s in &frontier {
-                                prev.extend(mapper.eva_partners(*s, inv)?);
-                            }
-                        }
-                        PathStep::Transitive(a) => {
-                            let inv =
-                                mapper.catalog().attribute(*a)?.eva_inverse().ok_or_else(|| {
-                                    QueryError::Internal("trigger EVA has no inverse".into())
-                                })?;
-                            for s in &frontier {
-                                for (e, _) in crate::eval::transitive_closure(mapper, *s, inv)? {
-                                    prev.insert(e);
-                                }
-                            }
-                        }
+                    let back = reversed(mapper.catalog(), step)?;
+                    let mut reached = Vec::new();
+                    for s in &frontier {
+                        traverse(mapper, *s, &back, None, 1, &mut reached)?;
                     }
-                    frontier = prev;
+                    frontier = reached.iter().filter_map(|(v, _)| v.as_entity()).collect();
                 }
                 affected.extend(frontier);
             }
@@ -263,22 +222,22 @@ impl CompiledVerify {
         Ok(Some(out))
     }
 
-    /// Check the constraint for the given entities (or the whole class).
-    /// Returns the first violating entity.
+    /// Check the constraint for the given entities (or the whole class)
+    /// with `bound`/`plan`: the assertion ([`CompiledVerify::bound`]) as
+    /// the engine's plan step planned and verified it. Returns the first
+    /// violating entity.
     pub fn check(
         &self,
         mapper: &Mapper,
+        bound: &BoundQuery,
+        plan: &Plan,
         entities: Option<Vec<Surrogate>>,
     ) -> Result<Option<Surrogate>, QueryError> {
         let list = match entities {
             Some(l) => l,
             None => mapper.entities_of(self.class)?,
         };
-        if list.is_empty() {
-            return Ok(None);
-        }
-        let plan = optimizer::plan(mapper, &self.bound)?;
-        let exec = Executor::new(mapper, &self.bound, &plan);
+        let exec = Executor::new(mapper, bound, plan);
         for surr in list {
             // Unknown passes (benefit of the doubt, as in SQL CHECK).
             if exec.check_entity(surr)? == Truth::False {
@@ -287,4 +246,16 @@ impl CompiledVerify {
         }
         Ok(None)
     }
+}
+
+/// A trigger-path step walked backwards: the same hop over the inverse EVA.
+fn reversed(catalog: &Catalog, step: &ChainStep) -> Result<ChainStep, QueryError> {
+    let inverse = catalog
+        .attribute(step.attr())?
+        .eva_inverse()
+        .ok_or_else(|| QueryError::Internal("trigger EVA has no inverse".into()))?;
+    Ok(match step {
+        ChainStep::Transitive(_) => ChainStep::Transitive(inverse),
+        ChainStep::Eva(_) | ChainStep::MvDva(_) => ChainStep::Eva(inverse),
+    })
 }

@@ -48,7 +48,7 @@ pub mod stats;
 pub mod update;
 
 pub use analyze::{AnalyzedPlan, NodeActuals, StepActuals};
-pub use bound::{BoundQuery, NodeType, QueryOutput, Row, StructRecord};
+pub use bound::{BoundQuery, NodeType, QueryOutput, StructRecord};
 pub use engine::{ExecResult, PlanMutator, PlanVerifier, QueryEngine};
 pub use error::QueryError;
 pub use optimizer::{AccessPath, Plan, ProbeMethod};

@@ -1,15 +1,24 @@
 //! Update-statement execution (§4.8): INSERT (with role-extension FROM),
 //! MODIFY (with INCLUDE/EXCLUDE and `WITH (…)` selectors), DELETE (with the
 //! subclass-role cascade handled by the Mapper).
+//!
+//! Compile, then apply. [`QueryEngine::compile_update`] binds every
+//! selection a statement needs — the WHERE clause, INSERT…FROM, each
+//! `:= class WITH (…)` and each `EXCLUDE eva WITH (…)` — and plans it
+//! through the engine's one plan step, so each is optimized and verified
+//! like a retrieve before the statement reads or writes any data.
+//! [`apply`] then runs those plans and writes.
 
 use crate::bind::Binder;
 use crate::bound::BoundQuery;
+use crate::engine::QueryEngine;
 use crate::error::QueryError;
 use crate::exec::Executor;
-use crate::optimizer;
-use sim_catalog::{AttrId, ClassId};
-use sim_dml::{AssignOp, AssignValue, Assignment, DeleteStmt, Expr, InsertStmt, ModifyStmt};
+use crate::Plan;
+use sim_catalog::{AttrId, Attribute, ClassId};
+use sim_dml::{AssignOp, AssignValue, Assignment, Expr, Statement};
 use sim_luc::{AttrValue, Mapper};
+use sim_obs::TraceBuilder;
 use sim_storage::Txn;
 use sim_types::{Surrogate, Value};
 
@@ -20,105 +29,235 @@ pub struct WriteSet {
     pub attr_writes: Vec<(Surrogate, AttrId)>,
     /// Role additions (entity, class).
     pub inserts: Vec<(Surrogate, ClassId)>,
-    /// Role removals (entity, class), recorded before deletion.
+    /// Role removals (entity, class): every role the mapper removed.
     pub deletes: Vec<(Surrogate, ClassId)>,
 }
 
-/// Entities of `class` satisfying `filter` (surrogate order).
-pub fn select_entities(
-    mapper: &Mapper,
-    class: ClassId,
-    filter: Option<&Expr>,
-) -> Result<Vec<Surrogate>, QueryError> {
-    match filter {
-        None => Ok(mapper.entities_of(class)?),
-        Some(expr) => {
-            let bound = Binder::bind_selection(mapper.catalog(), class, expr)?;
-            let plan = optimizer::plan(mapper, &bound)?;
-            Executor::new(mapper, &bound, &plan).select_entities()
-        }
+/// A selection predicate bound over one class and planned by the engine's
+/// plan step.
+pub(crate) struct Selection {
+    bound: BoundQuery,
+    plan: Plan,
+}
+
+impl Selection {
+    /// The selected entities (surrogate order).
+    fn run(&self, mapper: &Mapper) -> Result<Vec<Surrogate>, QueryError> {
+        Executor::new(mapper, &self.bound, &self.plan).select_entities()
     }
 }
 
 enum PreparedValue {
     /// A value expression evaluated per target entity.
     Expr(BoundQuery),
-    /// `class WITH (pred)`: the selected range entities (precomputed).
-    Entities(Vec<Surrogate>),
+    /// `class WITH (pred)`: the selector, run once before the first write;
+    /// `selected` holds its entities from then on.
+    Entities { selector: Selection, selected: Vec<Surrogate> },
     /// `exclude eva WITH (pred)`: a predicate over the EVA's current
     /// partners, evaluated per partner.
-    PartnerFilter { eva: AttrId, bound: BoundQuery },
+    PartnerFilter { eva: AttrId, filter: Selection },
 }
 
-struct PreparedAssign {
+pub(crate) struct PreparedAssign {
     attr: AttrId,
     op: AssignOp,
     value: PreparedValue,
 }
 
-fn prepare_assignment(
-    mapper: &Mapper,
-    class: ClassId,
-    a: &Assignment,
-) -> Result<PreparedAssign, QueryError> {
-    let catalog = mapper.catalog();
-    let attr_id = catalog.resolve_attr(class, &a.attr).ok_or_else(|| {
-        QueryError::Analyze(format!(
-            "unknown attribute {} on class {}",
-            a.attr,
-            catalog.class(class).map(|c| c.name.clone()).unwrap_or_default()
-        ))
-    })?;
-    let attr = catalog.attribute(attr_id)?.clone();
-    let value = match &a.value {
-        AssignValue::Expr(e) => PreparedValue::Expr(Binder::bind_value_expr(catalog, class, e)?),
-        AssignValue::Selector { name, predicate } => {
-            if a.op == AssignOp::Exclude {
-                // §4.8: for exclusions the object name refers to the EVA
-                // itself; the predicate filters its current partners.
-                let range = attr
-                    .eva_range()
-                    .ok_or_else(|| QueryError::Analyze(format!("{} is not an EVA", a.attr)))?;
-                if name.eq_ignore_ascii_case(&attr.name) {
-                    let bound = Binder::bind_selection(catalog, range, predicate)?;
-                    PreparedValue::PartnerFilter { eva: attr_id, bound }
+/// An INSERT, MODIFY or DELETE with its class resolved and every selection
+/// it needs planned — the input of [`apply`].
+pub(crate) enum CompiledUpdate<'s> {
+    /// `Insert class (…)`, or `Insert class From from Where … (…)`.
+    Insert {
+        name: &'s str,
+        class: ClassId,
+        from: Option<(&'s str, Selection)>,
+        assigns: Vec<PreparedAssign>,
+    },
+    /// `Modify class (…) [Where …]`.
+    Modify { class: ClassId, targets: Option<Selection>, assigns: Vec<PreparedAssign> },
+    /// `Delete class [Where …]`.
+    Delete { class: ClassId, targets: Option<Selection> },
+}
+
+impl QueryEngine {
+    /// Compile an update: resolve its class and bind every selection and
+    /// assignment, planning each selection through the engine's plan step.
+    /// Reads no entity data; nothing is written until [`apply`].
+    pub(crate) fn compile_update<'s>(
+        &self,
+        stmt: &'s Statement,
+        tb: &mut TraceBuilder,
+    ) -> Result<CompiledUpdate<'s>, QueryError> {
+        let class_named = |name: &str| {
+            self.mapper()
+                .catalog()
+                .class_by_name(name)
+                .map(|c| c.id)
+                .ok_or_else(|| QueryError::Analyze(format!("unknown class {name}")))
+        };
+        Ok(match stmt {
+            Statement::Insert(i) => {
+                let class = class_named(&i.class)?;
+                let assigns = i
+                    .assignments
+                    .iter()
+                    .map(|a| self.compile_assignment(class, a, tb))
+                    .collect::<Result<_, _>>()?;
+                let from = match &i.from {
+                    None => None,
+                    Some((from_name, pred)) => {
+                        let from_class = class_named(from_name)?;
+                        if !self.mapper().catalog().is_ancestor(from_class, class) {
+                            return Err(QueryError::Analyze(format!(
+                                "{from_name} is not an ancestor of {} (INSERT … FROM extends \
+                                 roles downward)",
+                                i.class
+                            )));
+                        }
+                        Some((from_name.as_str(), self.compile_selection(from_class, pred, tb)?))
+                    }
+                };
+                CompiledUpdate::Insert { name: &i.class, class, from, assigns }
+            }
+            Statement::Modify(m) => {
+                let class = class_named(&m.class)?;
+                let targets = match &m.where_clause {
+                    Some(e) => Some(self.compile_selection(class, e, tb)?),
+                    None => None,
+                };
+                let assigns = m
+                    .assignments
+                    .iter()
+                    .map(|a| self.compile_assignment(class, a, tb))
+                    .collect::<Result<_, _>>()?;
+                CompiledUpdate::Modify { class, targets, assigns }
+            }
+            Statement::Delete(d) => {
+                let class = class_named(&d.class)?;
+                let targets = match &d.where_clause {
+                    Some(e) => Some(self.compile_selection(class, e, tb)?),
+                    None => None,
+                };
+                CompiledUpdate::Delete { class, targets }
+            }
+            Statement::Retrieve(_) => {
+                return Err(QueryError::Internal("retrieve dispatched as update".into()));
+            }
+        })
+    }
+
+    fn compile_selection(
+        &self,
+        class: ClassId,
+        predicate: &Expr,
+        tb: &mut TraceBuilder,
+    ) -> Result<Selection, QueryError> {
+        let bound = Binder::bind_selection(self.mapper().catalog(), class, predicate)?;
+        let (bound, plan) = self.plan(bound, tb)?;
+        Ok(Selection { bound, plan })
+    }
+
+    fn compile_assignment(
+        &self,
+        class: ClassId,
+        a: &Assignment,
+        tb: &mut TraceBuilder,
+    ) -> Result<PreparedAssign, QueryError> {
+        let catalog = self.mapper().catalog();
+        let attr_id = catalog.resolve_attr(class, &a.attr).ok_or_else(|| {
+            QueryError::Analyze(format!(
+                "unknown attribute {} on class {}",
+                a.attr,
+                catalog.class(class).map(|c| c.name.clone()).unwrap_or_default()
+            ))
+        })?;
+        let attr = catalog.attribute(attr_id)?;
+        let value = match &a.value {
+            AssignValue::Expr(e) => {
+                PreparedValue::Expr(Binder::bind_value_expr(catalog, class, e)?)
+            }
+            AssignValue::Selector { name, predicate } => {
+                if a.op == AssignOp::Exclude {
+                    // §4.8: for exclusions the object name refers to the EVA
+                    // itself; the predicate filters its current partners.
+                    let range = attr
+                        .eva_range()
+                        .ok_or_else(|| QueryError::Analyze(format!("{} is not an EVA", a.attr)))?;
+                    if name.eq_ignore_ascii_case(&attr.name) {
+                        let filter = self.compile_selection(range, predicate, tb)?;
+                        PreparedValue::PartnerFilter { eva: attr_id, filter }
+                    } else {
+                        // Lenient extension: a class name selects entities.
+                        let sel_class = catalog
+                            .class_by_name(name)
+                            .ok_or_else(|| {
+                                QueryError::Analyze(format!(
+                                    "exclude selector {name} is neither the EVA nor a class"
+                                ))
+                            })?
+                            .id;
+                        let selector = self.compile_selection(sel_class, predicate, tb)?;
+                        PreparedValue::Entities { selector, selected: Vec::new() }
+                    }
                 } else {
-                    // Lenient extension: a class name selects entities.
+                    // Set/include: the name is the EVA's range class.
                     let sel_class = catalog
                         .class_by_name(name)
-                        .ok_or_else(|| {
-                            QueryError::Analyze(format!(
-                                "exclude selector {name} is neither the EVA nor a class"
-                            ))
-                        })?
+                        .ok_or_else(|| QueryError::Analyze(format!("unknown class {name}")))?
                         .id;
-                    PreparedValue::Entities(select_entities(mapper, sel_class, Some(predicate))?)
+                    let range = attr.eva_range().ok_or_else(|| {
+                        QueryError::Analyze(format!(
+                            "{}: WITH selectors apply to entity-valued attributes",
+                            a.attr
+                        ))
+                    })?;
+                    if !catalog.is_same_or_ancestor(range, sel_class)
+                        && !catalog.is_same_or_ancestor(sel_class, range)
+                    {
+                        return Err(QueryError::Analyze(format!(
+                            "{name} is not the range class of {}",
+                            a.attr
+                        )));
+                    }
+                    let selector = self.compile_selection(sel_class, predicate, tb)?;
+                    PreparedValue::Entities { selector, selected: Vec::new() }
                 }
-            } else {
-                // Set/include: the name is the EVA's range class.
-                let sel_class = catalog
-                    .class_by_name(name)
-                    .ok_or_else(|| QueryError::Analyze(format!("unknown class {name}")))?
-                    .id;
-                let range = attr.eva_range().ok_or_else(|| {
-                    QueryError::Analyze(format!(
-                        "{}: WITH selectors apply to entity-valued attributes",
-                        a.attr
-                    ))
-                })?;
-                if !catalog.is_same_or_ancestor(range, sel_class)
-                    && !catalog.is_same_or_ancestor(sel_class, range)
-                {
-                    return Err(QueryError::Analyze(format!(
-                        "{name} is not the range class of {}",
-                        a.attr
-                    )));
-                }
-                PreparedValue::Entities(select_entities(mapper, sel_class, Some(predicate))?)
             }
+        };
+        Ok(PreparedAssign { attr: attr_id, op: a.op, value })
+    }
+}
+
+/// Run every `class WITH (…)` selector once, before the statement's first
+/// write.
+fn run_selectors(mapper: &Mapper, assigns: &mut [PreparedAssign]) -> Result<(), QueryError> {
+    for pa in assigns {
+        if let PreparedValue::Entities { selector, selected } = &mut pa.value {
+            *selected = selector.run(mapper)?;
         }
-    };
-    Ok(PreparedAssign { attr: attr_id, op: a.op, value })
+    }
+    Ok(())
+}
+
+/// The value a `WITH` selector's entities assign to `attr`: all of them
+/// for a multi-valued EVA, exactly one for a single-valued one.
+fn selected_value(attr: &Attribute, es: &[Surrogate]) -> Result<AttrValue, QueryError> {
+    if attr.options.multivalued {
+        return Ok(AttrValue::Multi(es.iter().map(|s| Value::Entity(*s)).collect()));
+    }
+    match es {
+        [e] => Ok(AttrValue::Scalar(Value::Entity(*e))),
+        [] => Err(QueryError::Selector(format!(
+            "WITH selector for {} matched no entities",
+            attr.name
+        ))),
+        _ => Err(QueryError::Selector(format!(
+            "WITH selector for single-valued {} matched {} entities",
+            attr.name,
+            es.len()
+        ))),
+    }
 }
 
 fn eval_value_for(
@@ -170,70 +309,38 @@ fn apply_assign(
             }
             mapper.set_attr(txn, surr, pa.attr, AttrValue::Scalar(v))?;
         }
-        (AssignOp::Set, PreparedValue::Entities(es)) => {
+        (AssignOp::Set, PreparedValue::Entities { selected: es, .. }) => {
             let old = mapper.eva_partners(surr, pa.attr)?;
             record_eva_write(mapper, writes, surr, pa.attr, &old)?;
             record_eva_write(mapper, writes, surr, pa.attr, es)?;
-            if attr.options.multivalued {
-                let vals = es.iter().map(|s| Value::Entity(*s)).collect();
-                mapper.set_attr(txn, surr, pa.attr, AttrValue::Multi(vals))?;
+            mapper.set_attr(txn, surr, pa.attr, selected_value(&attr, es)?)?;
+        }
+        (op, PreparedValue::Expr(bound)) => {
+            let v = eval_value_for(mapper, bound, Some(surr))?;
+            if let Value::Entity(p) = &v {
+                record_eva_write(mapper, writes, surr, pa.attr, &[*p])?;
             } else {
-                match es.len() {
-                    0 => {
-                        return Err(QueryError::Selector(format!(
-                            "WITH selector for {} matched no entities",
-                            attr.name
-                        )));
-                    }
-                    1 => mapper.set_attr(
-                        txn,
-                        surr,
-                        pa.attr,
-                        AttrValue::Scalar(Value::Entity(es[0])),
-                    )?,
-                    n => {
-                        return Err(QueryError::Selector(format!(
-                            "WITH selector for single-valued {} matched {n} entities",
-                            attr.name
-                        )));
-                    }
+                writes.attr_writes.push((surr, pa.attr));
+            }
+            if *op == AssignOp::Include {
+                mapper.include_value(txn, surr, pa.attr, v)?;
+            } else {
+                mapper.exclude_value(txn, surr, pa.attr, &v)?;
+            }
+        }
+        (op, PreparedValue::Entities { selected: es, .. }) => {
+            record_eva_write(mapper, writes, surr, pa.attr, es)?;
+            for &e in es {
+                if *op == AssignOp::Include {
+                    mapper.include_value(txn, surr, pa.attr, Value::Entity(e))?;
+                } else {
+                    mapper.exclude_value(txn, surr, pa.attr, &Value::Entity(e))?;
                 }
             }
         }
-        (AssignOp::Include, PreparedValue::Expr(bound)) => {
-            let v = eval_value_for(mapper, bound, Some(surr))?;
-            if let Value::Entity(p) = &v {
-                record_eva_write(mapper, writes, surr, pa.attr, &[*p])?;
-            } else {
-                writes.attr_writes.push((surr, pa.attr));
-            }
-            mapper.include_value(txn, surr, pa.attr, v)?;
-        }
-        (AssignOp::Include, PreparedValue::Entities(es)) => {
-            record_eva_write(mapper, writes, surr, pa.attr, es)?;
-            for e in es {
-                mapper.include_value(txn, surr, pa.attr, Value::Entity(*e))?;
-            }
-        }
-        (AssignOp::Exclude, PreparedValue::Expr(bound)) => {
-            let v = eval_value_for(mapper, bound, Some(surr))?;
-            if let Value::Entity(p) = &v {
-                record_eva_write(mapper, writes, surr, pa.attr, &[*p])?;
-            } else {
-                writes.attr_writes.push((surr, pa.attr));
-            }
-            mapper.exclude_value(txn, surr, pa.attr, &v)?;
-        }
-        (AssignOp::Exclude, PreparedValue::Entities(es)) => {
-            record_eva_write(mapper, writes, surr, pa.attr, es)?;
-            for e in es {
-                mapper.exclude_value(txn, surr, pa.attr, &Value::Entity(*e))?;
-            }
-        }
-        (AssignOp::Exclude, PreparedValue::PartnerFilter { eva, bound }) => {
+        (AssignOp::Exclude, PreparedValue::PartnerFilter { eva, filter }) => {
             let partners = mapper.eva_partners(surr, *eva)?;
-            let plan = optimizer::plan(mapper, bound)?;
-            let exec = Executor::new(mapper, bound, &plan);
+            let exec = Executor::new(mapper, &filter.bound, &filter.plan);
             let mut to_remove = Vec::new();
             for p in partners {
                 if exec.check_entity(p)?.is_true() {
@@ -253,130 +360,44 @@ fn apply_assign(
     Ok(())
 }
 
-/// Execute an INSERT. Returns the number of entities created/extended.
-pub fn exec_insert(
+/// Apply a compiled update to `txn`, recording what it wrote. Returns the
+/// number of entities created, extended, updated or deleted.
+pub(crate) fn apply(
     mapper: &mut Mapper,
     txn: &mut Txn,
-    stmt: &InsertStmt,
+    update: CompiledUpdate<'_>,
     writes: &mut WriteSet,
 ) -> Result<usize, QueryError> {
-    let catalog = mapper.catalog();
-    let class = catalog
-        .class_by_name(&stmt.class)
-        .ok_or_else(|| QueryError::Analyze(format!("unknown class {}", stmt.class)))?
-        .id;
-    let prepared: Vec<PreparedAssign> = stmt
-        .assignments
-        .iter()
-        .map(|a| prepare_assignment(mapper, class, a))
-        .collect::<Result<_, _>>()?;
-
-    match &stmt.from {
-        None => {
-            // Build the assignment list for insert_entity so REQUIRED checks
-            // see the assigned values (§4.8: "Immediate attributes of all
-            // inserted classes can be assigned values in one INSERT").
-            let mut assigns = Vec::new();
-            let mut post = Vec::new();
-            for pa in &prepared {
-                match (&pa.op, &pa.value) {
-                    (AssignOp::Set, PreparedValue::Expr(bound)) => {
-                        let v = eval_value_for(mapper, bound, None)?;
-                        assigns.push((pa.attr, AttrValue::Scalar(v)));
-                    }
-                    (AssignOp::Set, PreparedValue::Entities(es)) => {
-                        let attr = mapper.catalog().attribute(pa.attr)?;
-                        if attr.options.multivalued {
-                            assigns.push((
-                                pa.attr,
-                                AttrValue::Multi(es.iter().map(|s| Value::Entity(*s)).collect()),
-                            ));
-                        } else {
-                            match es.len() {
-                                1 => {
-                                    assigns
-                                        .push((pa.attr, AttrValue::Scalar(Value::Entity(es[0]))));
-                                }
-                                0 => {
-                                    return Err(QueryError::Selector(format!(
-                                        "WITH selector for {} matched no entities",
-                                        attr.name
-                                    )));
-                                }
-                                n => {
-                                    return Err(QueryError::Selector(format!(
-                                        "WITH selector for single-valued {} matched {n} entities",
-                                        attr.name
-                                    )));
-                                }
-                            }
-                        }
-                    }
-                    _ => post.push(pa),
-                }
-            }
-            let surr = mapper.insert_entity(txn, class, &assigns)?;
-            writes.inserts.push((surr, class));
-            for anc in mapper.catalog().ancestors(class) {
-                writes.inserts.push((surr, anc));
-            }
-            for (attr, v) in &assigns {
-                writes.attr_writes.push((surr, *attr));
-                if let AttrValue::Scalar(Value::Entity(p)) = v {
-                    record_eva_write(mapper, writes, surr, *attr, &[*p])?;
-                }
-                if let AttrValue::Multi(vs) = v {
-                    let partners: Vec<Surrogate> = vs
-                        .iter()
-                        .filter_map(|x| match x {
-                            Value::Entity(s) => Some(*s),
-                            _ => None,
-                        })
-                        .collect();
-                    record_eva_write(mapper, writes, surr, *attr, &partners)?;
-                }
-            }
-            for pa in post {
-                apply_assign(mapper, txn, surr, pa, writes)?;
-            }
-            Ok(1)
+    match update {
+        CompiledUpdate::Insert { class, from: None, mut assigns, .. } => {
+            run_selectors(mapper, &mut assigns)?;
+            exec_insert(mapper, txn, class, &assigns, writes)
         }
-        Some((from_name, pred)) => {
-            let from_class = mapper
-                .catalog()
-                .class_by_name(from_name)
-                .ok_or_else(|| QueryError::Analyze(format!("unknown class {from_name}")))?
-                .id;
-            if !mapper.catalog().is_ancestor(from_class, class) {
-                return Err(QueryError::Analyze(format!(
-                    "{from_name} is not an ancestor of {} (INSERT … FROM extends roles downward)",
-                    stmt.class
-                )));
-            }
-            let targets = select_entities(mapper, from_class, Some(pred))?;
+        CompiledUpdate::Insert { name, class, from: Some((from_name, from)), mut assigns } => {
+            run_selectors(mapper, &mut assigns)?;
+            let targets = from.run(mapper)?;
             if targets.is_empty() {
                 return Err(QueryError::Selector(format!(
-                    "INSERT {} FROM {from_name}: no entity matched the WHERE clause",
-                    stmt.class
+                    "INSERT {name} FROM {from_name}: no entity matched the WHERE clause"
                 )));
             }
             for &surr in &targets {
                 // Evaluate per entity, then extend the role with the values
                 // so REQUIRED checks pass in one step.
-                let mut assigns = Vec::new();
+                let mut values = Vec::new();
                 let mut post = Vec::new();
-                for pa in &prepared {
+                for pa in &assigns {
                     match (&pa.op, &pa.value) {
                         (AssignOp::Set, PreparedValue::Expr(bound)) => {
                             let v = eval_value_for(mapper, bound, Some(surr))?;
-                            assigns.push((pa.attr, AttrValue::Scalar(v)));
+                            values.push((pa.attr, AttrValue::Scalar(v)));
                         }
                         _ => post.push(pa),
                     }
                 }
-                mapper.extend_role(txn, surr, class, &assigns)?;
+                mapper.extend_role(txn, surr, class, &values)?;
                 writes.inserts.push((surr, class));
-                for (attr, _) in &assigns {
+                for (attr, _) in &values {
                     writes.attr_writes.push((surr, *attr));
                 }
                 for pa in post {
@@ -385,56 +406,75 @@ pub fn exec_insert(
             }
             Ok(targets.len())
         }
-    }
-}
-
-/// Execute a MODIFY. Returns the number of entities updated.
-pub fn exec_modify(
-    mapper: &mut Mapper,
-    txn: &mut Txn,
-    stmt: &ModifyStmt,
-    writes: &mut WriteSet,
-) -> Result<usize, QueryError> {
-    let class = mapper
-        .catalog()
-        .class_by_name(&stmt.class)
-        .ok_or_else(|| QueryError::Analyze(format!("unknown class {}", stmt.class)))?
-        .id;
-    let targets = select_entities(mapper, class, stmt.where_clause.as_ref())?;
-    let prepared: Vec<PreparedAssign> = stmt
-        .assignments
-        .iter()
-        .map(|a| prepare_assignment(mapper, class, a))
-        .collect::<Result<_, _>>()?;
-    for &surr in &targets {
-        for pa in &prepared {
-            apply_assign(mapper, txn, surr, pa, writes)?;
-        }
-    }
-    Ok(targets.len())
-}
-
-/// Execute a DELETE. Returns the number of entities whose role was removed.
-pub fn exec_delete(
-    mapper: &mut Mapper,
-    txn: &mut Txn,
-    stmt: &DeleteStmt,
-    writes: &mut WriteSet,
-) -> Result<usize, QueryError> {
-    let class = mapper
-        .catalog()
-        .class_by_name(&stmt.class)
-        .ok_or_else(|| QueryError::Analyze(format!("unknown class {}", stmt.class)))?
-        .id;
-    let targets = select_entities(mapper, class, stmt.where_clause.as_ref())?;
-    for &surr in &targets {
-        writes.deletes.push((surr, class));
-        for d in mapper.catalog().descendants(class) {
-            if mapper.has_role(surr, d)? {
-                writes.deletes.push((surr, d));
+        CompiledUpdate::Modify { class, targets, mut assigns } => {
+            let targets = match targets {
+                Some(sel) => sel.run(mapper)?,
+                None => mapper.entities_of(class)?,
+            };
+            run_selectors(mapper, &mut assigns)?;
+            for &surr in &targets {
+                for pa in &assigns {
+                    apply_assign(mapper, txn, surr, pa, writes)?;
+                }
             }
+            Ok(targets.len())
         }
-        mapper.delete_role(txn, surr, class)?;
+        CompiledUpdate::Delete { class, targets } => {
+            let targets = match targets {
+                Some(sel) => sel.run(mapper)?,
+                None => mapper.entities_of(class)?,
+            };
+            for &surr in &targets {
+                for removed in mapper.delete_role(txn, surr, class)? {
+                    writes.deletes.push((surr, removed));
+                }
+            }
+            Ok(targets.len())
+        }
     }
-    Ok(targets.len())
+}
+
+/// A plain INSERT: one new entity.
+fn exec_insert(
+    mapper: &mut Mapper,
+    txn: &mut Txn,
+    class: ClassId,
+    prepared: &[PreparedAssign],
+    writes: &mut WriteSet,
+) -> Result<usize, QueryError> {
+    // Build the assignment list for insert_entity so REQUIRED checks see
+    // the assigned values (§4.8: "Immediate attributes of all inserted
+    // classes can be assigned values in one INSERT").
+    let mut assigns = Vec::new();
+    let mut post = Vec::new();
+    for pa in prepared {
+        match (&pa.op, &pa.value) {
+            (AssignOp::Set, PreparedValue::Expr(bound)) => {
+                let v = eval_value_for(mapper, bound, None)?;
+                assigns.push((pa.attr, AttrValue::Scalar(v)));
+            }
+            (AssignOp::Set, PreparedValue::Entities { selected, .. }) => {
+                let attr = mapper.catalog().attribute(pa.attr)?;
+                assigns.push((pa.attr, selected_value(attr, selected)?));
+            }
+            _ => post.push(pa),
+        }
+    }
+    let surr = mapper.insert_entity(txn, class, &assigns)?;
+    writes.inserts.push((surr, class));
+    for anc in mapper.catalog().ancestors(class) {
+        writes.inserts.push((surr, anc));
+    }
+    for (attr, v) in &assigns {
+        let values = match v {
+            AttrValue::Scalar(x) => std::slice::from_ref(x),
+            AttrValue::Multi(xs) => xs.as_slice(),
+        };
+        let partners: Vec<Surrogate> = values.iter().filter_map(Value::as_entity).collect();
+        record_eva_write(mapper, writes, surr, *attr, &partners)?;
+    }
+    for pa in post {
+        apply_assign(mapper, txn, surr, pa, writes)?;
+    }
+    Ok(1)
 }

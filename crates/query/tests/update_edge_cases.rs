@@ -6,6 +6,7 @@ use sim_ddl::university_catalog;
 use sim_luc::Mapper;
 use sim_query::{QueryEngine, QueryError};
 use sim_types::Value;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn s(v: &str) -> Value {
@@ -195,6 +196,39 @@ fn delete_everything_and_start_over() {
     e.run(r#"Insert course(course-no := 1, title := "Again", credits := 2)."#).unwrap();
     let out = e.query("From course Retrieve title.").unwrap();
     assert_eq!(out.rows(), &[vec![s("Again")]]);
+}
+
+#[test]
+fn delete_records_the_roles_the_mapper_removed() {
+    // A DELETE records in its write set exactly the roles
+    // `Mapper::delete_role` returns for each target: the deleted role and
+    // every subclass role the entity held. Pinned for two teaching
+    // assistants (student and instructor at once).
+    let mut e = engine();
+    e.run(
+        r#"Insert teaching-assistant(name := "T1", soc-sec-no := 1, employee-nbr := 1001).
+           Insert teaching-assistant(name := "T2", soc-sec-no := 2, employee-nbr := 1002)."#,
+    )
+    .unwrap();
+    let catalog = e.mapper().shared_catalog();
+    let class = |name: &str| catalog.class_by_name(name).unwrap().id;
+    let roles = |names: &[&str]| names.iter().map(|n| class(n)).collect::<BTreeSet<_>>();
+    let tas = e.mapper().entities_of(class("teaching-assistant")).unwrap();
+    let mut txn = e.mapper_mut().begin();
+
+    let removed = e.mapper_mut().delete_role(&mut txn, tas[0], class("student")).unwrap();
+    assert_eq!(
+        removed.into_iter().collect::<BTreeSet<_>>(),
+        roles(&["student", "teaching-assistant"])
+    );
+    let removed = e.mapper_mut().delete_role(&mut txn, tas[1], class("person")).unwrap();
+    assert_eq!(
+        removed.into_iter().collect::<BTreeSet<_>>(),
+        roles(&["person", "student", "instructor", "teaching-assistant"])
+    );
+    e.mapper_mut().commit(txn).unwrap();
+    let out = e.query("From instructor Retrieve name.").unwrap();
+    assert_eq!(out.rows(), &[vec![s("T1")]], "T1 is still an instructor; T2 is gone");
 }
 
 #[test]

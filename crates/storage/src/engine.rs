@@ -15,12 +15,12 @@
 //!   plus a commit record (carrying serialized [`EngineMeta`]) to the WAL
 //!   and fsyncs, and [`StorageEngine::close`] checkpoints the log away.
 
-use crate::btree::{BTree, BTreeCursor, Entry};
-use crate::disk::{BlockId, Storage};
+use crate::btree::{BTree, Entry};
+use crate::disk::Storage;
 use crate::error::StorageError;
 use crate::file::FileDisk;
 use crate::hash::HashIndex;
-use crate::heap::{HeapCursor, HeapFile, RecordId};
+use crate::heap::{HeapFile, RecordId};
 use crate::lock_table::{LockKey, LockTable};
 use crate::meta::{BTreeMeta, EngineMeta, HashMeta, HeapMeta};
 use crate::pool::BufferPool;
@@ -323,33 +323,15 @@ impl StorageEngine {
             .ok_or_else(|| StorageError::UnknownStructure(format!("file {}", id.0)))
     }
 
-    fn file_mut(&mut self, id: FileId) -> Result<&mut HeapFile, StorageError> {
-        self.files
-            .get_mut(id.0 as usize)
-            .ok_or_else(|| StorageError::UnknownStructure(format!("file {}", id.0)))
-    }
-
     fn btree(&self, id: BTreeId) -> Result<&BTree, StorageError> {
         self.btrees
             .get(id.0 as usize)
             .ok_or_else(|| StorageError::UnknownStructure(format!("btree {}", id.0)))
     }
 
-    fn btree_mut(&mut self, id: BTreeId) -> Result<&mut BTree, StorageError> {
-        self.btrees
-            .get_mut(id.0 as usize)
-            .ok_or_else(|| StorageError::UnknownStructure(format!("btree {}", id.0)))
-    }
-
     fn hash(&self, id: HashIndexId) -> Result<&HashIndex, StorageError> {
         self.hashes
             .get(id.0 as usize)
-            .ok_or_else(|| StorageError::UnknownStructure(format!("hash {}", id.0)))
-    }
-
-    fn hash_mut(&mut self, id: HashIndexId) -> Result<&mut HashIndex, StorageError> {
-        self.hashes
-            .get_mut(id.0 as usize)
             .ok_or_else(|| StorageError::UnknownStructure(format!("hash {}", id.0)))
     }
 
@@ -658,20 +640,6 @@ impl StorageEngine {
         Ok(data)
     }
 
-    /// Open a scan cursor over a file.
-    pub fn heap_cursor(&self, file: FileId) -> Result<HeapCursor, StorageError> {
-        Ok(self.file(file)?.cursor())
-    }
-
-    /// Advance a heap cursor.
-    pub fn heap_cursor_next(
-        &self,
-        file: FileId,
-        cur: &mut HeapCursor,
-    ) -> Result<Option<(RecordId, Vec<u8>)>, StorageError> {
-        self.file(file)?.cursor_next(&self.pool, cur)
-    }
-
     /// Materialize a full scan (through the installed snapshot view, if
     /// any).
     pub fn heap_scan_all(&self, file: FileId) -> Result<Vec<(RecordId, Vec<u8>)>, StorageError> {
@@ -690,11 +658,6 @@ impl StorageEngine {
     /// Block count (optimizer statistic: scan cost).
     pub fn heap_block_count(&self, file: FileId) -> Result<usize, StorageError> {
         Ok(self.file(file)?.block_count())
-    }
-
-    /// The block holding a record (clustering experiments).
-    pub fn heap_block_of(&self, rid: RecordId) -> BlockId {
-        rid.block
     }
 
     // ----- B-tree operations ----------------------------------------------------
@@ -792,29 +755,6 @@ impl StorageEngine {
         Ok(entries)
     }
 
-    /// Cursor positioned at the first entry `>= key`.
-    pub fn btree_cursor_from(
-        &self,
-        index: BTreeId,
-        key: &[u8],
-    ) -> Result<BTreeCursor, StorageError> {
-        self.btree(index)?.cursor_from(&self.pool, key)
-    }
-
-    /// Advance a B-tree cursor.
-    pub fn btree_cursor_next(
-        &self,
-        index: BTreeId,
-        cur: &mut BTreeCursor,
-    ) -> Result<Option<Entry>, StorageError> {
-        self.btree(index)?.cursor_next(&self.pool, cur)
-    }
-
-    /// Entry count (optimizer statistic).
-    pub fn btree_entry_count(&self, index: BTreeId) -> Result<usize, StorageError> {
-        Ok(self.btree(index)?.entry_count())
-    }
-
     /// Tree height (optimizer statistic: probe cost in block accesses).
     pub fn btree_height(&self, index: BTreeId) -> Result<usize, StorageError> {
         Ok(self.btree(index)?.height())
@@ -872,29 +812,6 @@ impl StorageEngine {
         }
         Ok(values)
     }
-
-    /// Entry count (optimizer statistic).
-    pub fn hash_entry_count(&self, index: HashIndexId) -> Result<usize, StorageError> {
-        Ok(self.hash(index)?.entry_count())
-    }
-
-    /// Mutable access for maintenance (tests only).
-    #[doc(hidden)]
-    pub fn hash_index_mut(&mut self, id: HashIndexId) -> Result<&mut HashIndex, StorageError> {
-        self.hash_mut(id)
-    }
-
-    /// Mutable access for maintenance (tests only).
-    #[doc(hidden)]
-    pub fn btree_index_mut(&mut self, id: BTreeId) -> Result<&mut BTree, StorageError> {
-        self.btree_mut(id)
-    }
-
-    /// Mutable access for maintenance (tests only).
-    #[doc(hidden)]
-    pub fn heap_file_mut(&mut self, id: FileId) -> Result<&mut HeapFile, StorageError> {
-        self.file_mut(id)
-    }
 }
 
 impl std::fmt::Debug for StorageEngine {
@@ -911,7 +828,7 @@ impl std::fmt::Debug for StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{BlockId, MemDisk};
 
     #[test]
     fn abort_undoes_heap_mutations_in_reverse() {

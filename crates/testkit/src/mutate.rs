@@ -6,13 +6,14 @@
 //! with its stable `SIM-P2xx` code; `tests/plan_verifier.rs` asserts
 //! exactly that, and the engine's test-only plan-mutator hook
 //! (`Database::set_plan_mutator`) lets the same corruptions flow through
-//! the *production* cache-miss path to prove the wiring rejects them
+//! the engine's *production* plan step to prove the wiring rejects them
 //! end-to-end.
 //!
 //! Injection is schema-driven, not query-specific: each bug inspects the
-//! plan/bound tree and the catalog for a site it can corrupt, and panics
-//! with guidance when the query cannot host it (harness misuse, not a test
-//! failure).
+//! plan/bound tree and the catalog for a site it can corrupt, and leaves a
+//! tree that offers none unchanged. An installed mutator sees every plan
+//! the engine makes — update selections and VERIFY checks too — so the
+//! trees without a site must pass through clean.
 
 use sim_catalog::Catalog;
 use sim_query::bound::{BoundQuery, NodeOrigin};
@@ -27,15 +28,19 @@ pub enum PlanBug {
     /// PR 5's symbolic-index bug: a range scan over a symbolic/subrole
     /// domain, whose B-tree key order (declaration codes) differs from the
     /// label order the evaluator compares with. Expected: `SIM-P201`.
+    /// Hosted by a perspective class with a symbolic-domained DVA (e.g.
+    /// `level: degree`).
     SymbolicRange,
     /// An equality probe keyed with a value outside the indexed
     /// attribute's declared domain — the probe can never coerce, so the
     /// evaluator-faithful answer differs from the index's. Expected:
-    /// `SIM-P202`.
+    /// `SIM-P202`. Hosted by an equality predicate on an indexed attribute
+    /// (e.g. a UNIQUE one).
     WrongDomainProbe,
     /// An EVA traversal flipped to the inverse attribute without
     /// re-anchoring: the traversal runs in the wrong direction (PR 5's
-    /// EVA-dedup family). Expected: `SIM-P204`.
+    /// EVA-dedup family). Expected: `SIM-P204`. Hosted by an EVA traversal
+    /// with a distinct inverse (e.g. `name of advisor`).
     EvaDirection,
 }
 
@@ -53,11 +58,8 @@ impl PlanBug {
         }
     }
 
-    /// Corrupt `bound`/`plan` in place.
-    ///
-    /// # Panics
-    /// When the plan offers no injection site — pick a hosting query per
-    /// the message.
+    /// Corrupt `bound`/`plan` in place; a no-op when they offer no
+    /// injection site (see each bug's doc for the shape that hosts it).
     pub fn inject(self, catalog: &Catalog, bound: &mut BoundQuery, plan: &mut Plan) {
         match self {
             PlanBug::SymbolicRange => inject_symbolic_range(catalog, bound, plan),
@@ -97,10 +99,6 @@ fn inject_symbolic_range(catalog: &Catalog, bound: &mut BoundQuery, plan: &mut P
             return;
         }
     }
-    panic!(
-        "PlanBug::SymbolicRange needs a perspective class with a symbolic-domained \
-         DVA; use a schema that declares one (e.g. `level: degree`)"
-    );
 }
 
 fn inject_wrong_domain_probe(catalog: &Catalog, plan: &mut Plan) {
@@ -118,10 +116,6 @@ fn inject_wrong_domain_probe(catalog: &Catalog, plan: &mut Plan) {
         };
         return;
     }
-    panic!(
-        "PlanBug::WrongDomainProbe needs an index equality probe; use a query with \
-         an equality predicate on an indexed attribute (e.g. a UNIQUE one)"
-    );
 }
 
 fn inject_eva_direction(catalog: &Catalog, bound: &mut BoundQuery) {
@@ -136,8 +130,4 @@ fn inject_eva_direction(catalog: &Catalog, bound: &mut BoundQuery) {
         node.origin = NodeOrigin::Eva { attr: inverse };
         return;
     }
-    panic!(
-        "PlanBug::EvaDirection needs an EVA traversal with a distinct inverse; use \
-         a query like `Retrieve name of advisor`"
-    );
 }

@@ -69,6 +69,14 @@ impl Value {
         }
     }
 
+    /// The surrogate of an entity value.
+    pub fn as_entity(&self) -> Option<Surrogate> {
+        match self {
+            Value::Entity(s) => Some(*s),
+            _ => None,
+        }
+    }
+
     /// Numeric view as `f64` (for comparisons and AVG).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -114,10 +114,11 @@ echo "== PR9 bench smoke (check mode): 64 concurrent network clients"
 # disjoint-class workload; dumps BENCH_pr9.json.
 (cd crates/bench && cargo run -q --release --bin pr9_smoke)
 
-echo "== PR10 bench smoke (check mode): cost-based vs heuristic plan I/O"
-# Asserts that after analyze() the cost-based plans beat the heuristic
-# plans by >= 2x measured block reads on a skewed two-class workload,
-# with identical results; dumps BENCH_pr10.json.
+echo "== PR10 bench smoke (check mode): cost-based vs priors-only plan I/O"
+# Asserts that after analyze() the cost-based plans beat the priors-only
+# plans chosen before it (every non-unique equality at the default
+# EQ_SELECTIVITY prior, 0.005) by >= 2x measured block reads on a skewed
+# two-class workload, with identical results; dumps BENCH_pr10.json.
 (cd crates/bench && cargo run -q --release --bin pr10_smoke)
 
 echo "== sim-dump smoke: offline introspection of a freshly crashed directory"
