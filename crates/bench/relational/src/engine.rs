@@ -165,8 +165,7 @@ impl RelationalDb {
             let key = ordered::encode_key(std::slice::from_ref(value));
             let mut out = Vec::new();
             for rid_bytes in self.engine.btree_scan_key(*tree, &key)? {
-                let rid = RecordId::from_bytes(&rid_bytes)
-                    .ok_or_else(|| StorageError::Corrupt("bad rid".into()))?;
+                let rid = RecordId::from_bytes(&rid_bytes)?;
                 if let Some(bytes) = self.engine.heap_get(t.file, rid)? {
                     out.push(
                         decode_row_tagged(&bytes)

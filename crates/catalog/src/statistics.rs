@@ -11,7 +11,7 @@
 //! the Mapper's `AppMeta` so a reopened database keeps its statistics);
 //! collection lives in `sim-luc`, estimation in `sim-query`.
 
-use sim_types::{Date, Decimal, Surrogate, Value};
+use sim_types::{ByteReader, Date, Decimal, Surrogate, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -314,7 +314,7 @@ impl StatsStore {
     /// Decode bytes produced by [`StatsStore::encode`]. The error is a
     /// human-readable corruption description.
     pub fn decode(bytes: &[u8]) -> Result<StatsStore, String> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes);
         let mut store = StatsStore::default();
         for _ in 0..r.u32()? {
             let id = r.u32()?;
@@ -348,9 +348,7 @@ impl StatsStore {
             let id = r.u32()?;
             store.fan_out.insert(id, FanOutStats { owners: r.u64()?, links: r.u64()? });
         }
-        if r.pos != bytes.len() {
-            return Err("trailing bytes".into());
-        }
+        r.finish()?;
         Ok(store)
     }
 }
@@ -395,11 +393,11 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_value(r: &mut Reader<'_>) -> Result<Value, String> {
+fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
     Ok(match r.u8()? {
         0 => Value::Null,
         1 => Value::Int(i64::from_le_bytes(r.array()?)),
-        2 => Value::Float(f64::from_bits(u64::from_le_bytes(r.array()?))),
+        2 => Value::Float(f64::from_bits(r.u64()?)),
         3 => {
             let mantissa = i128::from_le_bytes(r.array()?);
             let scale = r.u8()?;
@@ -415,47 +413,10 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value, String> {
         }
         5 => Value::Bool(r.u8()? != 0),
         6 => Value::Date(Date::from_day_number(i32::from_le_bytes(r.array()?))),
-        7 => Value::Symbol(u16::from_le_bytes(r.array()?)),
-        8 => Value::Entity(Surrogate::from_raw(u64::from_le_bytes(r.array()?))),
+        7 => Value::Symbol(r.u16()?),
+        8 => Value::Entity(Surrogate::from_raw(r.u64()?)),
         other => return Err(format!("bad value tag {other}")),
     })
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.bytes.len() {
-            return Err("truncated".into());
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        self.take(N).map(|s| {
-            let mut a = [0u8; N];
-            a.copy_from_slice(s);
-            a
-        })
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.array().map(u64::from_le_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -556,7 +517,7 @@ mod tests {
         for f in &fences {
             encode_value(f, &mut buf);
         }
-        let mut r = Reader { bytes: &buf, pos: 0 };
+        let mut r = ByteReader::new(&buf);
         for f in &fences {
             assert_eq!(&decode_value(&mut r).unwrap(), f);
         }

@@ -2,7 +2,7 @@
 
 use sim_catalog::CatalogError;
 use sim_storage::StorageError;
-use sim_types::TypeError;
+use sim_types::{DecodeError, TypeError};
 use std::fmt;
 
 /// Errors raised by the LUC mapper.
@@ -82,6 +82,12 @@ impl From<TypeError> for MapperError {
 impl From<StorageError> for MapperError {
     fn from(e: StorageError) -> MapperError {
         MapperError::Storage(e)
+    }
+}
+
+impl From<DecodeError> for MapperError {
+    fn from(e: DecodeError) -> MapperError {
+        MapperError::Storage(e.into())
     }
 }
 

@@ -12,7 +12,7 @@ use sim_catalog::statistics::StatsStore;
 use sim_catalog::{AttrId, Catalog, ClassId};
 use sim_obs::Registry;
 use sim_storage::{BTreeId, FileId, RecordId, StorageEngine, Txn};
-use sim_types::{Surrogate, SurrogateAllocator, Value};
+use sim_types::{ByteReader, Surrogate, SurrogateAllocator, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -112,8 +112,11 @@ pub(crate) fn surr_key(s: Surrogate) -> [u8; 8] {
     s.raw().to_be_bytes()
 }
 
-pub(crate) fn decode_surr_key(bytes: &[u8]) -> Surrogate {
-    Surrogate::from_raw(u64::from_be_bytes(bytes[..8].try_into().expect("8-byte key")))
+pub(crate) fn decode_surr_key(bytes: &[u8]) -> Result<Surrogate, MapperError> {
+    let mut r = ByteReader::new(bytes);
+    let surr = Surrogate::from_raw(u64::from_be_bytes(r.array()?));
+    r.finish()?;
+    Ok(surr)
 }
 
 pub(crate) fn index_value(rid: RecordId, roles: u64) -> Vec<u8> {
@@ -123,13 +126,14 @@ pub(crate) fn index_value(rid: RecordId, roles: u64) -> Vec<u8> {
     v
 }
 
-pub(crate) fn decode_index_value(bytes: &[u8]) -> Option<(RecordId, u64)> {
-    if bytes.len() != 16 {
-        return None;
-    }
-    let rid = RecordId::from_bytes(&bytes[..8])?;
-    let roles = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    Some((rid, roles))
+/// Decode a surrogate-index value `(rid, roles)`. A damaged entry is a
+/// typed error: skipping it would drop its entity from every class scan.
+pub(crate) fn decode_index_value(bytes: &[u8]) -> Result<(RecordId, u64), MapperError> {
+    let mut r = ByteReader::new(bytes);
+    let rid = RecordId::from_bytes(r.take(8)?)?;
+    let roles = r.u64()?;
+    r.finish()?;
+    Ok((rid, roles))
 }
 
 impl Mapper {
@@ -546,9 +550,7 @@ impl Mapper {
         let idx = self.families[family].surr_index;
         self.stats.index_probes_btree.inc();
         match self.engine.btree_lookup_first(idx, &surr_key(surr))? {
-            Some(v) => decode_index_value(&v).map(Some).ok_or_else(|| {
-                MapperError::NoSuchEntity(format!("corrupt index entry for {surr}"))
-            }),
+            Some(v) => decode_index_value(&v).map(Some),
             None => Ok(None),
         }
     }
@@ -602,8 +604,7 @@ impl Mapper {
             .engine
             .btree_lookup_first(idx, &surr_key(surr))?
             .ok_or_else(|| MapperError::NoSuchEntity(format!("{surr} has no auxiliary record")))?;
-        let rid = RecordId::from_bytes(&rid_bytes)
-            .ok_or_else(|| MapperError::NoSuchEntity("corrupt aux index".into()))?;
+        let rid = RecordId::from_bytes(&rid_bytes)?;
         let bytes = self
             .engine
             .heap_get(file, rid)?
@@ -777,8 +778,7 @@ impl Mapper {
             if gone & self.bit_of(*c) != 0 {
                 let (file, idx) = self.families[family].aux[aux_idx];
                 if let Some(rid_bytes) = self.engine.btree_lookup_first(idx, &surr_key(surr))? {
-                    let rid = RecordId::from_bytes(&rid_bytes)
-                        .ok_or_else(|| MapperError::NoSuchEntity("corrupt aux index".into()))?;
+                    let rid = RecordId::from_bytes(&rid_bytes)?;
                     self.engine.heap_delete(txn, file, rid)?;
                     self.engine.btree_delete(txn, idx, &surr_key(surr), &rid_bytes)?;
                 }
@@ -821,10 +821,9 @@ impl Mapper {
         let idx = self.families[family].surr_index;
         let mut out = Vec::new();
         for (key, value) in self.engine.btree_scan_all(idx)? {
-            if let Some((_, roles)) = decode_index_value(&value) {
-                if roles & bit != 0 {
-                    out.push(decode_surr_key(&key));
-                }
+            let (_, roles) = decode_index_value(&value)?;
+            if roles & bit != 0 {
+                out.push(decode_surr_key(&key)?);
             }
         }
         Ok(out)
@@ -843,11 +842,10 @@ impl Mapper {
             let idx = self.families[fam_idx].surr_index;
             let classes = self.family_layout(fam_idx).classes.clone();
             for (_, value) in self.engine.btree_scan_all(idx)? {
-                if let Some((_, roles)) = decode_index_value(&value) {
-                    for &c in &classes {
-                        if roles & self.bit_of(c) != 0 {
-                            *self.class_counts.entry(c).or_insert(0) += 1;
-                        }
+                let (_, roles) = decode_index_value(&value)?;
+                for &c in &classes {
+                    if roles & self.bit_of(c) != 0 {
+                        *self.class_counts.entry(c).or_insert(0) += 1;
                     }
                 }
             }
@@ -859,5 +857,36 @@ impl Mapper {
     pub fn class_block_count(&self, class: ClassId) -> Result<usize, MapperError> {
         let family = self.family_index(class)?;
         Ok(self.engine.heap_block_count(self.families[family].tree_file)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_storage::disk::BlockId;
+    use sim_storage::StorageError;
+
+    /// A damaged surrogate-index entry is a typed error on every class
+    /// scan: never a silently dropped entity, never a panic.
+    #[test]
+    fn bad_surrogate_index_entries_are_typed_errors() {
+        let catalog = Arc::new(sim_ddl::university_catalog());
+        let course = catalog.class_by_name("course").expect("course").id;
+        let rid = RecordId { block: BlockId(0), slot: 0 };
+        let short_value = (surr_key(Surrogate::from_raw(999)).to_vec(), vec![1, 2, 3]);
+        let short_key = (vec![0xAB; 3], index_value(rid, u64::MAX));
+        for (key, value) in [short_value, short_key] {
+            let mut mapper = Mapper::new(catalog.clone(), 64).expect("mapper");
+            let idx = mapper.families[mapper.family_index(course).expect("family")].surr_index;
+            let mut txn = mapper.begin();
+            mapper.engine.btree_insert(&mut txn, idx, &key, &value).expect("raw insert");
+            let corrupt = |r: Result<(), MapperError>| {
+                matches!(r, Err(MapperError::Storage(StorageError::Corrupt(_))))
+            };
+            assert!(corrupt(mapper.entities_of(course).map(drop)), "key {key:?}");
+            if value.len() != 16 {
+                assert!(corrupt(mapper.recount()), "value {value:?}");
+            }
+        }
     }
 }

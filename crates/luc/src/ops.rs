@@ -9,22 +9,11 @@
 
 use crate::error::MapperError;
 use crate::layout::{AttrPlacement, ClassStorage, FieldKind, PairMapping};
-use crate::mapper::{AttrOut, AttrValue, Mapper};
+use crate::mapper::{decode_surr_key, surr_key, AttrOut, AttrValue, Mapper};
 use crate::value_codec::{encode_value, Decoder, FieldValue};
 use sim_catalog::{AttrId, Attribute, ClassId};
 use sim_storage::{BTreeId, RecordId, Txn};
-use sim_types::{ordered, Domain, Surrogate, TypeError, Value};
-
-fn surr_be(s: Surrogate) -> [u8; 8] {
-    s.raw().to_be_bytes()
-}
-
-fn decode_surr_be(bytes: &[u8]) -> Option<Surrogate> {
-    if bytes.len() != 8 {
-        return None;
-    }
-    Some(Surrogate::from_raw(u64::from_be_bytes(bytes.try_into().ok()?)))
-}
+use sim_types::{ordered, ByteReader, Domain, Surrogate, TypeError, Value};
 
 /// An equality-probe value prepared for index key encoding.
 enum Probe {
@@ -160,7 +149,7 @@ impl Mapper {
                 let tree = self.mv_dva_trees[&attr_id];
                 let values = self
                     .engine
-                    .btree_scan_key(tree, &surr_be(surr))?
+                    .btree_scan_key(tree, &surr_key(surr))?
                     .iter()
                     .map(|b| decode_mv_value(b))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -408,11 +397,11 @@ impl Mapper {
                 };
                 let values = self.coerce_mv(attr, &domain, raw)?;
                 let tree = self.mv_dva_trees[&attr.id];
-                for existing in self.engine.btree_scan_key(tree, &surr_be(surr))? {
-                    self.engine.btree_delete(txn, tree, &surr_be(surr), &existing)?;
+                for existing in self.engine.btree_scan_key(tree, &surr_key(surr))? {
+                    self.engine.btree_delete(txn, tree, &surr_key(surr), &existing)?;
                 }
                 for v in &values {
-                    self.engine.btree_insert(txn, tree, &surr_be(surr), &encode_mv_value(v)?)?;
+                    self.engine.btree_insert(txn, tree, &surr_key(surr), &encode_mv_value(v)?)?;
                 }
                 Ok(())
             }
@@ -498,7 +487,7 @@ impl Mapper {
             }
             Some(AttrPlacement::SeparateMvDva) => {
                 let tree = self.mv_dva_trees[&attr_id];
-                self.engine.btree_insert(txn, tree, &surr_be(surr), &encode_mv_value(&v)?)?;
+                self.engine.btree_insert(txn, tree, &surr_key(surr), &encode_mv_value(&v)?)?;
             }
             other => {
                 return Err(MapperError::ShapeMismatch(format!(
@@ -552,7 +541,7 @@ impl Mapper {
             }
             Some(AttrPlacement::SeparateMvDva) => {
                 let tree = self.mv_dva_trees[&attr_id];
-                Ok(self.engine.btree_delete(txn, tree, &surr_be(surr), &encode_mv_value(&v)?)?)
+                Ok(self.engine.btree_delete(txn, tree, &surr_key(surr), &encode_mv_value(&v)?)?)
             }
             other => Err(MapperError::ShapeMismatch(format!(
                 "unexpected placement {other:?} for {}",
@@ -686,7 +675,7 @@ impl Mapper {
         if common {
             key.extend_from_slice(&(plan_idx as u32).to_be_bytes());
         }
-        key.extend_from_slice(&surr_be(surr));
+        key.extend_from_slice(&surr_key(surr));
         key
     }
 
@@ -705,12 +694,12 @@ impl Mapper {
         let mut partners = Vec::new();
         if symmetric || attr_id == plan.fwd_attr {
             for v in self.engine.btree_scan_key(fwd, &key)? {
-                partners.extend(decode_surr_be(&v));
+                partners.push(decode_surr_key(&v)?);
             }
         }
         if symmetric || attr_id == plan.inv_attr {
             for v in self.engine.btree_scan_key(rev, &key)? {
-                partners.extend(decode_surr_be(&v));
+                partners.push(decode_surr_key(&v)?);
             }
         }
         Ok(partners)
@@ -788,8 +777,8 @@ impl Mapper {
         let (a, b) = if attr.id == plan.fwd_attr { (owner, partner) } else { (partner, owner) };
         let ka = self.structure_key(plan_idx, common, a);
         let kb = self.structure_key(plan_idx, common, b);
-        self.engine.btree_insert(txn, fwd, &ka, &surr_be(b))?;
-        self.engine.btree_insert(txn, rev, &kb, &surr_be(a))?;
+        self.engine.btree_insert(txn, fwd, &ka, &surr_key(b))?;
+        self.engine.btree_insert(txn, rev, &kb, &surr_key(a))?;
 
         self.update_hints(txn, attr, owner, partner, true)?;
         if inv_id != attr.id {
@@ -815,14 +804,14 @@ impl Mapper {
         let (a, b) = if attr.id == plan.fwd_attr { (owner, partner) } else { (partner, owner) };
         let ka = self.structure_key(plan_idx, common, a);
         let kb = self.structure_key(plan_idx, common, b);
-        let mut existed = self.engine.btree_delete(txn, fwd, &ka, &surr_be(b))?;
+        let mut existed = self.engine.btree_delete(txn, fwd, &ka, &surr_key(b))?;
         if existed {
-            self.engine.btree_delete(txn, rev, &kb, &surr_be(a))?;
+            self.engine.btree_delete(txn, rev, &kb, &surr_key(a))?;
         } else if symmetric {
             // The symmetric pair may be stored with roles swapped.
-            existed = self.engine.btree_delete(txn, fwd, &kb, &surr_be(a))?;
+            existed = self.engine.btree_delete(txn, fwd, &kb, &surr_key(a))?;
             if existed {
-                self.engine.btree_delete(txn, rev, &ka, &surr_be(b))?;
+                self.engine.btree_delete(txn, rev, &ka, &surr_key(b))?;
             }
         }
         if !existed {
@@ -940,9 +929,7 @@ impl Mapper {
         let file = self.families[family].tree_file;
         if let Some(bytes) = self.engine.heap_get(file, hint)? {
             // Validate: the record at the hint must carry the surrogate.
-            if bytes.len() >= 8
-                && u64::from_le_bytes(bytes[..8].try_into().unwrap()) == partner.raw()
-            {
+            if ByteReader::new(&bytes).u64() == Ok(partner.raw()) {
                 return Ok(Some((hint, bytes)));
             }
         }
@@ -1062,8 +1049,8 @@ impl Mapper {
                     }
                     Some(AttrPlacement::SeparateMvDva) => {
                         let tree = self.mv_dva_trees[&attr_id];
-                        for existing in self.engine.btree_scan_key(tree, &surr_be(surr))? {
-                            self.engine.btree_delete(txn, tree, &surr_be(surr), &existing)?;
+                        for existing in self.engine.btree_scan_key(tree, &surr_key(surr))? {
+                            self.engine.btree_delete(txn, tree, &surr_key(surr), &existing)?;
                         }
                     }
                     _ => {} // embedded arrays vanish with the record
@@ -1109,14 +1096,14 @@ impl Mapper {
                         txn,
                         tree,
                         &ordered::encode_key(std::slice::from_ref(o)),
-                        &surr_be(surr),
+                        &surr_key(surr),
                     )?;
                 }
             }
             if let Some(n) = new {
                 if !n.is_null() {
                     let key = ordered::encode_key(std::slice::from_ref(n));
-                    let result = self.engine.btree_insert(txn, tree, &key, &surr_be(surr));
+                    let result = self.engine.btree_insert(txn, tree, &key, &surr_key(surr));
                     match result {
                         Ok(()) => {}
                         Err(sim_storage::StorageError::DuplicateKey) if unique => {
@@ -1137,14 +1124,14 @@ impl Mapper {
                         txn,
                         hidx,
                         &ordered::encode_key(std::slice::from_ref(o)),
-                        &surr_be(surr),
+                        &surr_key(surr),
                     )?;
                 }
             }
             if let Some(n) = new {
                 if !n.is_null() {
                     let key = ordered::encode_key(std::slice::from_ref(n));
-                    self.engine.hash_insert(txn, hidx, &key, &surr_be(surr))?;
+                    self.engine.hash_insert(txn, hidx, &key, &surr_key(surr))?;
                 }
             }
         }
@@ -1173,7 +1160,7 @@ impl Mapper {
             if let AttrOut::Single(v) = self.read_attr_raw(surr, attr_id)? {
                 if !v.is_null() {
                     let key = ordered::encode_key(std::slice::from_ref(&v));
-                    self.engine.btree_insert(&mut txn, tree, &key, &surr_be(surr))?;
+                    self.engine.btree_insert(&mut txn, tree, &key, &surr_key(surr))?;
                 }
             }
         }
@@ -1205,7 +1192,7 @@ impl Mapper {
             if let AttrOut::Single(v) = self.read_attr_raw(surr, attr_id)? {
                 if !v.is_null() {
                     let key = ordered::encode_key(std::slice::from_ref(&v));
-                    self.engine.hash_insert(&mut txn, hidx, &key, &surr_be(surr))?;
+                    self.engine.hash_insert(&mut txn, hidx, &key, &surr_key(surr))?;
                 }
             }
         }
@@ -1256,7 +1243,7 @@ impl Mapper {
             Probe::Miss => return Ok(None),
         };
         let key = ordered::encode_key(std::slice::from_ref(&v));
-        Ok(self.engine.btree_lookup_first(tree, &key)?.as_deref().and_then(decode_surr_be))
+        self.engine.btree_lookup_first(tree, &key)?.as_deref().map(decode_surr_key).transpose()
     }
 
     /// Indexed equality lookup. `prefer_hash` routes through the hash
@@ -1284,20 +1271,22 @@ impl Mapper {
                 .engine
                 .hash_get(hidx, &key)?
                 .iter()
-                .filter_map(|b| decode_surr_be(b))
-                .collect();
+                .map(|b| decode_surr_key(b))
+                .collect::<Result<_, _>>()?;
             out.sort(); // hash order is arbitrary; restore surrogate order
             return Ok(Some(out));
         }
         if let Some(&tree) = unique {
             self.stats.index_probes_btree.inc();
             let first = self.engine.btree_lookup_first(tree, &key)?;
-            return Ok(Some(first.as_deref().and_then(decode_surr_be).into_iter().collect()));
+            return Ok(Some(
+                first.as_deref().map(decode_surr_key).transpose()?.into_iter().collect(),
+            ));
         }
         if let Some(&tree) = secondary {
             self.stats.index_probes_btree.inc();
             let found = self.engine.btree_scan_key(tree, &key)?;
-            return Ok(Some(found.iter().filter_map(|b| decode_surr_be(b)).collect()));
+            return found.iter().map(|b| decode_surr_key(b)).collect::<Result<_, _>>().map(Some);
         }
         Ok(None)
     }
@@ -1332,12 +1321,11 @@ impl Mapper {
             }
             k
         });
-        Ok(Some(
-            self.engine
-                .btree_scan_range(tree, lo_key.as_deref(), hi_key.as_deref())?
-                .iter()
-                .filter_map(|(_, v)| decode_surr_be(v))
-                .collect(),
-        ))
+        self.engine
+            .btree_scan_range(tree, lo_key.as_deref(), hi_key.as_deref())?
+            .iter()
+            .map(|(_, v)| decode_surr_key(v))
+            .collect::<Result<_, _>>()
+            .map(Some)
     }
 }

@@ -11,6 +11,7 @@
 //! and hash indexes.
 
 use crate::error::MapperError;
+use sim_types::ByteReader;
 
 const MAGIC: &[u8; 4] = b"SIMA";
 /// Version 2: numeric index keys switched to the two-part (f64 approx +
@@ -72,62 +73,39 @@ impl AppMeta {
 
     /// Decode bytes produced by [`AppMeta::encode`].
     pub fn decode(bytes: &[u8]) -> Result<AppMeta, MapperError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(corrupt("magic mismatch"));
         }
-        let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+        let version = r.u16()?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(corrupt(&format!("unsupported version {version}")));
         }
-        let schema_len =
-            usize::try_from(u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")))
-                .map_err(|_| corrupt("schema length overflows"))?;
-        let schema = r.take(schema_len)?.to_vec();
-        let next_surrogate = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-        let secondary = r.take_pairs()?;
-        let hash = r.take_pairs()?;
-        let stats = if version >= 3 {
-            let stats_len =
-                usize::try_from(u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")))
-                    .map_err(|_| corrupt("stats length overflows"))?;
-            r.take(stats_len)?.to_vec()
-        } else {
-            Vec::new()
-        };
-        if r.pos != bytes.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        let schema = blob(&mut r, "schema")?;
+        let next_surrogate = r.u64()?;
+        let secondary = pairs(&mut r)?;
+        let hash = pairs(&mut r)?;
+        let stats = if version >= 3 { blob(&mut r, "stats")? } else { Vec::new() };
+        r.finish()?;
         Ok(AppMeta { schema, next_surrogate, secondary, hash, stats })
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A `u64`-length-prefixed byte string.
+fn blob(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<u8>, MapperError> {
+    let len =
+        usize::try_from(r.u64()?).map_err(|_| corrupt(&format!("{what} length overflows")))?;
+    Ok(r.take(len)?.to_vec())
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MapperError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(corrupt("truncated"));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
+/// A `u32`-count-prefixed list of `(u32, u32)` pairs.
+fn pairs(r: &mut ByteReader<'_>) -> Result<Vec<(u32, u32)>, MapperError> {
+    let count = r.u32()? as usize;
+    let mut out = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        out.push((r.u32()?, r.u32()?));
     }
-
-    fn take_pairs(&mut self) -> Result<Vec<(u32, u32)>, MapperError> {
-        let count = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")) as usize;
-        let mut out = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let a = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"));
-            let b = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"));
-            out.push((a, b));
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 
 use crate::error::MapperError;
 use sim_storage::RecordId;
-use sim_types::{Date, Decimal, Surrogate, Value};
+use sim_types::{ByteReader, Date, Decimal, Surrogate, Value};
+use std::ops::{Deref, DerefMut};
 
 /// One stored field: either a plain value, an embedded array (bounded MV
 /// DVAs), or a pointer list (pointer/clustered EVA mappings: partner
@@ -129,89 +130,70 @@ pub fn encode_field(f: &FieldValue, out: &mut Vec<u8>) -> Result<(), MapperError
     Ok(())
 }
 
-/// Cursor-style decoder.
-pub struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The value-format decoder over the shared bounded reader; the reader's
+/// raw integer reads (record headers) are reachable through `Deref`.
+pub struct Decoder<'a>(ByteReader<'a>);
+
+impl<'a> Deref for Decoder<'a> {
+    type Target = ByteReader<'a>;
+    fn deref(&self) -> &ByteReader<'a> {
+        &self.0
+    }
+}
+
+impl DerefMut for Decoder<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl<'a> Decoder<'a> {
     /// Start decoding at the front of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Decoder<'a> {
-        Decoder { bytes, pos: 0 }
-    }
-
-    /// Current offset.
-    pub fn position(&self) -> usize {
-        self.pos
+        Decoder(ByteReader::new(bytes))
     }
 
     /// True when all bytes are consumed.
     pub fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MapperError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(corrupt("record truncated"));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Read a raw little-endian u64 (record headers).
-    pub fn u64(&mut self) -> Result<u64, MapperError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a raw little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, MapperError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.remaining() == 0
     }
 
     /// Decode one value.
     pub fn value(&mut self) -> Result<Value, MapperError> {
-        let tag = self.take(1)?[0];
-        Ok(match tag {
+        let r = &mut self.0;
+        Ok(match r.u8()? {
             TAG_NULL => Value::Null,
-            TAG_INT => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            TAG_FLOAT => Value::Float(f64::from_le_bytes(self.take(8)?.try_into().unwrap())),
+            TAG_INT => Value::Int(i64::from_le_bytes(r.array()?)),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(r.array()?)),
             TAG_DECIMAL => {
-                let scale = self.take(1)?[0];
-                let mantissa = i128::from_le_bytes(self.take(16)?.try_into().unwrap());
+                let scale = r.u8()?;
+                let mantissa = i128::from_le_bytes(r.array()?);
                 Value::Decimal(
                     Decimal::from_parts(mantissa, scale).map_err(|_| corrupt("bad decimal"))?,
                 )
             }
             TAG_STR => {
-                let len = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
-                let bytes = self.take(len)?;
+                let len = r.u32()? as usize;
                 Value::Str(
-                    std::str::from_utf8(bytes)
+                    std::str::from_utf8(r.take(len)?)
                         .map_err(|_| corrupt("bad utf-8 in string field"))?
                         .to_owned(),
                 )
             }
             TAG_BOOL_FALSE => Value::Bool(false),
             TAG_BOOL_TRUE => Value::Bool(true),
-            TAG_DATE => Value::Date(Date::from_day_number(i32::from_le_bytes(
-                self.take(4)?.try_into().unwrap(),
-            ))),
-            TAG_SYMBOL => Value::Symbol(u16::from_le_bytes(self.take(2)?.try_into().unwrap())),
-            TAG_ENTITY => Value::Entity(Surrogate::from_raw(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
+            TAG_DATE => Value::Date(Date::from_day_number(i32::from_le_bytes(r.array()?))),
+            TAG_SYMBOL => Value::Symbol(r.u16()?),
+            TAG_ENTITY => Value::Entity(Surrogate::from_raw(r.u64()?)),
             other => return Err(corrupt(&format!("unknown value tag {other}"))),
         })
     }
 
     /// Decode one field (value, array or hint list).
     pub fn field(&mut self) -> Result<FieldValue, MapperError> {
-        let tag = self.bytes.get(self.pos).copied().ok_or_else(|| corrupt("record truncated"))?;
-        match tag {
-            TAG_ARRAY => {
-                self.pos += 1;
+        match self.peek() {
+            Some(TAG_ARRAY) => {
+                self.u8()?;
                 let n = self.u16()? as usize;
                 let mut vals = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -219,14 +201,13 @@ impl<'a> Decoder<'a> {
                 }
                 Ok(FieldValue::Array(vals))
             }
-            TAG_HINTS => {
-                self.pos += 1;
+            Some(TAG_HINTS) => {
+                self.u8()?;
                 let n = self.u16()? as usize;
                 let mut hints = Vec::with_capacity(n);
                 for _ in 0..n {
                     let surr = Surrogate::from_raw(self.u64()?);
-                    let rid = RecordId::from_bytes(self.take(8)?)
-                        .ok_or_else(|| corrupt("bad record id"))?;
+                    let rid = RecordId::from_bytes(self.take(8)?)?;
                     hints.push((surr, rid));
                 }
                 Ok(FieldValue::Hints(hints))

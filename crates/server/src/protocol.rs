@@ -17,7 +17,7 @@
 //! cannot balloon server memory.
 
 use sim_query::{QueryOutput, StructRecord};
-use sim_types::{Date, Decimal, Surrogate, Value};
+use sim_types::{ByteReader, Date, Decimal, DecodeError, Surrogate, Value};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on one frame's payload (16 MiB). A length prefix beyond
@@ -130,63 +130,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 // ------------------------------------------------------------ primitives
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<DecodeError> for ProtoError {
+    fn from(e: DecodeError) -> ProtoError {
+        bad(format!("malformed payload: {e}"))
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| bad("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(bad(format!(
-                "truncated payload: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn i128(&mut self) -> Result<i128, ProtoError> {
-        Ok(i128::from_be_bytes(self.take(16)?.try_into().expect("16 bytes")))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad("string is not valid UTF-8"))
-    }
-
-    fn done(&self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad(format!("{} trailing bytes after message", self.buf.len() - self.pos)))
-        }
-    }
+fn string(r: &mut ByteReader<'_>) -> Result<String, ProtoError> {
+    let len = u32::from_be_bytes(r.array()?) as usize;
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| bad("string is not valid UTF-8"))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -236,29 +188,27 @@ pub fn encode_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-fn decode_value(c: &mut Cursor<'_>) -> Result<Value, ProtoError> {
-    match c.u8()? {
+fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, ProtoError> {
+    match r.u8()? {
         0 => Ok(Value::Null),
-        1 => Ok(Value::Int(i64::from_be_bytes(c.take(8)?.try_into().expect("8 bytes")))),
-        2 => Ok(Value::Float(f64::from_bits(c.u64()?))),
+        1 => Ok(Value::Int(i64::from_be_bytes(r.array()?))),
+        2 => Ok(Value::Float(f64::from_bits(u64::from_be_bytes(r.array()?)))),
         3 => {
-            let mantissa = c.i128()?;
-            let scale = c.u8()?;
+            let mantissa = i128::from_be_bytes(r.array()?);
+            let scale = r.u8()?;
             let d = Decimal::from_parts(mantissa, scale)
                 .map_err(|e| bad(format!("bad decimal: {e}")))?;
             Ok(Value::Decimal(d))
         }
-        4 => Ok(Value::Str(c.string()?)),
-        5 => match c.u8()? {
+        4 => Ok(Value::Str(string(r)?)),
+        5 => match r.u8()? {
             0 => Ok(Value::Bool(false)),
             1 => Ok(Value::Bool(true)),
             other => Err(bad(format!("bad bool byte {other}"))),
         },
-        6 => Ok(Value::Date(Date::from_day_number(i32::from_be_bytes(
-            c.take(4)?.try_into().expect("4 bytes"),
-        )))),
-        7 => Ok(Value::Symbol(c.u16()?)),
-        8 => Ok(Value::Entity(Surrogate::from_raw(c.u64()?))),
+        6 => Ok(Value::Date(Date::from_day_number(i32::from_be_bytes(r.array()?)))),
+        7 => Ok(Value::Symbol(u16::from_be_bytes(r.array()?))),
+        8 => Ok(Value::Entity(Surrogate::from_raw(u64::from_be_bytes(r.array()?)))),
         other => Err(bad(format!("unknown value tag {other}"))),
     }
 }
@@ -306,54 +256,54 @@ fn encode_output(out: &mut Vec<u8>, output: &QueryOutput) {
 /// this many rows would blow [`MAX_FRAME`] first.
 const MAX_COUNT: u32 = 16 * 1024 * 1024;
 
-fn checked_count(c: &mut Cursor<'_>, what: &str) -> Result<usize, ProtoError> {
-    let n = c.u32()?;
+fn checked_count(r: &mut ByteReader<'_>, what: &str) -> Result<usize, ProtoError> {
+    let n = u32::from_be_bytes(r.array()?);
     if n > MAX_COUNT {
         return Err(bad(format!("{what} count {n} is implausible")));
     }
     Ok(n as usize)
 }
 
-fn decode_output(c: &mut Cursor<'_>) -> Result<QueryOutput, ProtoError> {
-    match c.u8()? {
+fn decode_output(r: &mut ByteReader<'_>) -> Result<QueryOutput, ProtoError> {
+    match r.u8()? {
         0 => {
-            let ncols = checked_count(c, "column")?;
-            let mut columns = Vec::with_capacity(ncols);
+            let ncols = checked_count(r, "column")?;
+            let mut columns = Vec::with_capacity(ncols.min(1024));
             for _ in 0..ncols {
-                columns.push(c.string()?);
+                columns.push(string(r)?);
             }
-            let nrows = checked_count(c, "row")?;
+            let nrows = checked_count(r, "row")?;
             let mut rows = Vec::with_capacity(nrows.min(1024));
             for _ in 0..nrows {
-                let nvals = checked_count(c, "value")?;
+                let nvals = checked_count(r, "value")?;
                 let mut row = Vec::with_capacity(nvals.min(1024));
                 for _ in 0..nvals {
-                    row.push(decode_value(c)?);
+                    row.push(decode_value(r)?);
                 }
                 rows.push(row);
             }
             Ok(QueryOutput::Table { columns, rows })
         }
         1 => {
-            let nformats = checked_count(c, "format")?;
+            let nformats = checked_count(r, "format")?;
             let mut formats = Vec::with_capacity(nformats.min(1024));
             for _ in 0..nformats {
-                let nnames = checked_count(c, "format column")?;
+                let nnames = checked_count(r, "format column")?;
                 let mut names = Vec::with_capacity(nnames.min(1024));
                 for _ in 0..nnames {
-                    names.push(c.string()?);
+                    names.push(string(r)?);
                 }
                 formats.push(names);
             }
-            let nrecords = checked_count(c, "record")?;
+            let nrecords = checked_count(r, "record")?;
             let mut records = Vec::with_capacity(nrecords.min(1024));
             for _ in 0..nrecords {
-                let format = checked_count(c, "format index")?;
-                let level = c.u32()?;
-                let nvals = checked_count(c, "value")?;
+                let format = checked_count(r, "format index")?;
+                let level = u32::from_be_bytes(r.array()?);
+                let nvals = checked_count(r, "value")?;
                 let mut values = Vec::with_capacity(nvals.min(1024));
                 for _ in 0..nvals {
-                    values.push(decode_value(c)?);
+                    values.push(decode_value(r)?);
                 }
                 records.push(StructRecord { format, level, values });
             }
@@ -401,21 +351,21 @@ impl Request {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let req = match c.u8()? {
-            0x01 => Request::Query(c.string()?),
-            0x02 => Request::Execute(c.string()?),
-            0x03 => Request::Prepare(c.string()?),
-            0x04 => Request::ExecPrepared(c.u64()?),
+        let mut r = ByteReader::new(payload);
+        let req = match r.u8()? {
+            0x01 => Request::Query(string(&mut r)?),
+            0x02 => Request::Execute(string(&mut r)?),
+            0x03 => Request::Prepare(string(&mut r)?),
+            0x04 => Request::ExecPrepared(u64::from_be_bytes(r.array()?)),
             0x05 => Request::Begin,
             0x06 => Request::Commit,
             0x07 => Request::Abort,
             0x08 => Request::Savepoint,
-            0x09 => Request::RollbackTo(c.u64()?),
+            0x09 => Request::RollbackTo(u64::from_be_bytes(r.array()?)),
             0x0A => Request::Close,
             other => return Err(bad(format!("unknown request tag {other:#04x}"))),
         };
-        c.done()?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -450,25 +400,25 @@ impl Response {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let resp = match c.u8()? {
-            0x81 => Response::Ack(c.u64()?),
+        let mut r = ByteReader::new(payload);
+        let resp = match r.u8()? {
+            0x81 => Response::Ack(u64::from_be_bytes(r.array()?)),
             0x82 => {
-                let flags = c.u8()?;
+                let flags = r.u8()?;
                 Response::Rows {
                     plan_cached: flags & 1 != 0,
                     snapshot: flags & 2 != 0,
-                    output: decode_output(&mut c)?,
+                    output: decode_output(&mut r)?,
                 }
             }
             0x83 => {
-                let flags = c.u8()?;
-                let code = if flags & 1 != 0 { Some(c.string()?) } else { None };
-                Response::Err { code, retryable: flags & 2 != 0, message: c.string()? }
+                let flags = r.u8()?;
+                let code = if flags & 1 != 0 { Some(string(&mut r)?) } else { None };
+                Response::Err { code, retryable: flags & 2 != 0, message: string(&mut r)? }
             }
             other => return Err(bad(format!("unknown response tag {other:#04x}"))),
         };
-        c.done()?;
+        r.finish()?;
         Ok(resp)
     }
 }

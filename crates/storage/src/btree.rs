@@ -22,6 +22,7 @@ use crate::disk::BlockId;
 use crate::error::StorageError;
 use crate::pool::BufferPool;
 use crate::BLOCK_SIZE;
+use sim_types::{ByteReader, DecodeError};
 
 /// Maximum serialized size of one `(key, value)` entry, chosen so any node
 /// can hold at least four entries.
@@ -53,53 +54,47 @@ fn pair_cmp(a: &Entry, b: &Entry) -> std::cmp::Ordering {
 }
 
 fn read_node(pool: &BufferPool, id: BlockId) -> Result<Node, StorageError> {
-    pool.read(id, deserialize)
+    pool.read_page(id, deserialize)
 }
 
 fn write_node(pool: &BufferPool, id: BlockId, node: &Node) -> Result<(), StorageError> {
     pool.write(id, |p| serialize(node, p))
 }
 
-fn deserialize(p: &[u8; BLOCK_SIZE]) -> Node {
-    let mut off = 0usize;
-    let tag = p[off];
-    off += 1;
-    let count = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-    off += 2;
-    let read_bytes = |p: &[u8; BLOCK_SIZE], off: &mut usize| -> Vec<u8> {
-        let len = u16::from_le_bytes([p[*off], p[*off + 1]]) as usize;
-        *off += 2;
-        let out = p[*off..*off + len].to_vec();
-        *off += len;
-        out
-    };
+/// Decode a node. Every length and count comes from the page, so every read
+/// goes through the bounded reader: a damaged node is a [`DecodeError`].
+fn deserialize(p: &[u8; BLOCK_SIZE]) -> Result<Node, DecodeError> {
+    let mut r = ByteReader::new(p);
+    let tag = r.u8()?;
+    let count = usize::from(r.u16()?);
     if tag == NODE_LEAF {
-        let next_raw = u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]);
-        off += 4;
-        let next = if next_raw == NO_BLOCK { None } else { Some(BlockId(next_raw)) };
+        let next = match r.u32()? {
+            NO_BLOCK => None,
+            raw => Some(BlockId(raw)),
+        };
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let k = read_bytes(p, &mut off);
-            let v = read_bytes(p, &mut off);
-            entries.push((k, v));
+            entries.push(read_entry(&mut r)?);
         }
-        Node::Leaf { entries, next }
+        Ok(Node::Leaf { entries, next })
     } else {
         let mut children = Vec::with_capacity(count + 1);
-        let first = u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]);
-        off += 4;
-        children.push(BlockId(first));
+        children.push(BlockId(r.u32()?));
         let mut seps = Vec::with_capacity(count);
         for _ in 0..count {
-            let k = read_bytes(p, &mut off);
-            let v = read_bytes(p, &mut off);
-            let c = u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]);
-            off += 4;
-            seps.push((k, v));
-            children.push(BlockId(c));
+            seps.push(read_entry(&mut r)?);
+            children.push(BlockId(r.u32()?));
         }
-        Node::Internal { seps, children }
+        Ok(Node::Internal { seps, children })
     }
+}
+
+/// One `(key, value)` pair, each `u16`-length-prefixed.
+fn read_entry(r: &mut ByteReader<'_>) -> Result<Entry, DecodeError> {
+    let klen = r.u16()?;
+    let key = r.take(usize::from(klen))?.to_vec();
+    let vlen = r.u16()?;
+    Ok((key, r.take(usize::from(vlen))?.to_vec()))
 }
 
 fn serialize(node: &Node, p: &mut [u8; BLOCK_SIZE]) {
@@ -216,7 +211,7 @@ impl BTree {
             return Err(StorageError::DuplicateKey);
         }
         let pair = (key.to_vec(), value.to_vec());
-        if let Some((sep, right)) = self.insert_rec(pool, self.root, &pair)? {
+        if let Some((sep, right)) = self.insert_rec(pool, self.root, self.height, &pair)? {
             // Root split: grow the tree by one level.
             let old_root = self.root;
             let new_root = pool.allocate()?;
@@ -232,10 +227,12 @@ impl BTree {
         Ok(())
     }
 
+    /// Insert below `node_id`, which sits `levels` levels above the leaves.
     fn insert_rec(
         &self,
         pool: &BufferPool,
         node_id: BlockId,
+        levels: usize,
         pair: &(Vec<u8>, Vec<u8>),
     ) -> Result<Option<(Entry, BlockId)>, StorageError> {
         let mut node = read_node(pool, node_id)?;
@@ -267,7 +264,10 @@ impl BTree {
                 let child_idx =
                     seps.partition_point(|s| pair_cmp(s, pair) != std::cmp::Ordering::Greater);
                 let child = children[child_idx];
-                let Some((sep, right)) = self.insert_rec(pool, child, pair)? else {
+                if levels <= 1 {
+                    return Err(self.too_deep(child));
+                }
+                let Some((sep, right)) = self.insert_rec(pool, child, levels - 1, pair)? else {
                     return Ok(None);
                 };
                 seps.insert(child_idx, sep);
@@ -388,22 +388,36 @@ impl BTree {
         Ok(out)
     }
 
+    /// Walk from the root to a leaf, taking child `pick(seps)` at each
+    /// internal node. A node still internal below `height` levels (a child
+    /// pointer cycle) is corruption, not an endless walk.
+    fn descend(
+        &self,
+        pool: &BufferPool,
+        pick: impl Fn(&[Entry]) -> usize,
+    ) -> Result<BlockId, StorageError> {
+        let mut id = self.root;
+        for _ in 0..self.height {
+            match read_node(pool, id)? {
+                Node::Leaf { .. } => return Ok(id),
+                Node::Internal { seps, children } => id = children[pick(&seps)],
+            }
+        }
+        Err(self.too_deep(id))
+    }
+
+    fn too_deep(&self, id: BlockId) -> StorageError {
+        StorageError::malformed(id, format_args!("B-tree deeper than its height {}", self.height))
+    }
+
     fn descend_to_leaf(
         &self,
         pool: &BufferPool,
         pair: &(Vec<u8>, Vec<u8>),
     ) -> Result<BlockId, StorageError> {
-        let mut id = self.root;
-        loop {
-            match read_node(pool, id)? {
-                Node::Leaf { .. } => return Ok(id),
-                Node::Internal { seps, children } => {
-                    let idx =
-                        seps.partition_point(|s| pair_cmp(s, pair) != std::cmp::Ordering::Greater);
-                    id = children[idx];
-                }
-            }
-        }
+        self.descend(pool, |seps| {
+            seps.partition_point(|s| pair_cmp(s, pair) != std::cmp::Ordering::Greater)
+        })
     }
 
     /// A cursor positioned at the first entry whose key is `>= key`.
@@ -416,18 +430,12 @@ impl BTree {
             }
             _ => 0,
         };
-        Ok(BTreeCursor { leaf: Some(leaf), index: idx })
+        Ok(BTreeCursor { leaf: Some(leaf), index: idx, hops: 0 })
     }
 
     /// A cursor positioned at the very first entry.
     pub fn cursor_first(&self, pool: &BufferPool) -> Result<BTreeCursor, StorageError> {
-        let mut id = self.root;
-        loop {
-            match read_node(pool, id)? {
-                Node::Leaf { .. } => return Ok(BTreeCursor { leaf: Some(id), index: 0 }),
-                Node::Internal { children, .. } => id = children[0],
-            }
-        }
+        Ok(BTreeCursor { leaf: Some(self.descend(pool, |_| 0)?), index: 0, hops: 0 })
     }
 
     /// Advance a cursor. Skips empty leaves left behind by lazy deletion.
@@ -438,9 +446,11 @@ impl BTree {
     ) -> Result<Option<Entry>, StorageError> {
         loop {
             let Some(leaf) = cur.leaf else { return Ok(None) };
-            let (entry, next) = pool.read(leaf, |p| match deserialize(p) {
-                Node::Leaf { entries, next } => (entries.get(cur.index).cloned(), next),
-                Node::Internal { .. } => (None, None),
+            let (entry, next) = pool.read_page(leaf, |p| {
+                Ok(match deserialize(p)? {
+                    Node::Leaf { entries, next } => (entries.get(cur.index).cloned(), next),
+                    Node::Internal { .. } => (None, None),
+                })
             })?;
             match entry {
                 Some(kv) => {
@@ -448,6 +458,7 @@ impl BTree {
                     return Ok(Some(kv));
                 }
                 None => {
+                    pool.count_hop(&mut cur.hops, leaf)?;
                     cur.leaf = next;
                     cur.index = 0;
                 }
@@ -461,6 +472,8 @@ impl BTree {
 pub struct BTreeCursor {
     leaf: Option<BlockId>,
     index: usize,
+    /// Leaves left behind so far (bounds a looping chain).
+    hops: usize,
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Storage-layer errors.
 
+use crate::disk::BlockId;
+use sim_types::DecodeError;
 use std::fmt;
 
 /// Errors raised by the storage substrate.
@@ -74,6 +76,11 @@ impl fmt::Display for StorageError {
 }
 
 impl StorageError {
+    /// A block whose bytes do not decode: [`StorageError::Corrupt`] naming it.
+    pub(crate) fn malformed(block: BlockId, why: impl fmt::Display) -> StorageError {
+        StorageError::Corrupt(format!("block {} is malformed: {why}", block.0))
+    }
+
     /// The stable `SIM-C*` concurrency code of this error, if it has one
     /// (DESIGN.md §14). Network servers ship this to clients so they can
     /// distinguish "retry the transaction" from "the statement is wrong"
@@ -96,6 +103,12 @@ impl StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+impl From<DecodeError> for StorageError {
+    fn from(e: DecodeError) -> StorageError {
+        StorageError::Corrupt(e.to_string())
+    }
+}
 
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> StorageError {

@@ -10,6 +10,7 @@ use crate::disk::BlockId;
 use crate::error::StorageError;
 use crate::pool::BufferPool;
 use crate::BLOCK_SIZE;
+use sim_types::ByteReader;
 
 const NO_BLOCK: u32 = u32::MAX;
 /// Chain-block header: next (u32) + entry count (u16).
@@ -32,25 +33,20 @@ struct ChainBlock {
 }
 
 fn read_chain(pool: &BufferPool, id: BlockId) -> Result<ChainBlock, StorageError> {
-    pool.read(id, |p| {
-        let next_raw = u32::from_le_bytes([p[0], p[1], p[2], p[3]]);
-        let count = u16::from_le_bytes([p[4], p[5]]) as usize;
-        let mut off = HEADER;
+    pool.read_page(id, |p| {
+        let mut r = ByteReader::new(p);
+        let next = match r.u32()? {
+            NO_BLOCK => None,
+            raw => Some(BlockId(raw)),
+        };
+        let count = usize::from(r.u16()?);
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-            let vlen = u16::from_le_bytes([p[off + 2], p[off + 3]]) as usize;
-            off += 4;
-            let k = p[off..off + klen].to_vec();
-            off += klen;
-            let v = p[off..off + vlen].to_vec();
-            off += vlen;
-            entries.push((k, v));
+            let klen = usize::from(r.u16()?);
+            let vlen = usize::from(r.u16()?);
+            entries.push((r.take(klen)?.to_vec(), r.take(vlen)?.to_vec()));
         }
-        ChainBlock {
-            next: if next_raw == NO_BLOCK { None } else { Some(BlockId(next_raw)) },
-            entries,
-        }
+        Ok(ChainBlock { next, entries })
     })
 }
 
@@ -143,7 +139,9 @@ impl HashIndex {
             return Err(StorageError::DuplicateKey);
         }
         let mut id = self.bucket_of(key);
+        let mut hops = 0;
         loop {
+            pool.count_hop(&mut hops, id)?;
             let mut cb = read_chain(pool, id)?;
             if chain_size(&cb.entries) + 4 + key.len() + value.len() <= BLOCK_SIZE {
                 cb.entries.push((key.to_vec(), value.to_vec()));
@@ -172,8 +170,9 @@ impl HashIndex {
     /// All values stored under `key`.
     pub fn get(&self, pool: &BufferPool, key: &[u8]) -> Result<Vec<Vec<u8>>, StorageError> {
         let mut out = Vec::new();
-        let mut id = Some(self.bucket_of(key));
+        let (mut id, mut hops) = (Some(self.bucket_of(key)), 0);
         while let Some(block) = id {
+            pool.count_hop(&mut hops, block)?;
             let cb = read_chain(pool, block)?;
             for (k, v) in &cb.entries {
                 if k == key {
@@ -192,8 +191,9 @@ impl HashIndex {
         key: &[u8],
         value: &[u8],
     ) -> Result<bool, StorageError> {
-        let mut id = Some(self.bucket_of(key));
+        let (mut id, mut hops) = (Some(self.bucket_of(key)), 0);
         while let Some(block) = id {
+            pool.count_hop(&mut hops, block)?;
             let mut cb = read_chain(pool, block)?;
             if let Some(pos) = cb.entries.iter().position(|(k, v)| k == key && v == value) {
                 cb.entries.swap_remove(pos);
@@ -223,8 +223,9 @@ impl HashIndex {
     pub fn scan_all(&self, pool: &BufferPool) -> Result<Vec<crate::btree::Entry>, StorageError> {
         let mut out = Vec::with_capacity(self.entry_count);
         for &bucket in &self.buckets {
-            let mut id = Some(bucket);
+            let (mut id, mut hops) = (Some(bucket), 0);
             while let Some(block) = id {
+                pool.count_hop(&mut hops, block)?;
                 let cb = read_chain(pool, block)?;
                 out.extend(cb.entries);
                 id = cb.next;

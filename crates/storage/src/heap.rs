@@ -14,6 +14,7 @@ use crate::disk::BlockId;
 use crate::error::StorageError;
 use crate::page;
 use crate::pool::BufferPool;
+use sim_types::{ByteReader, DecodeError};
 use std::fmt;
 
 /// A stable physical record address: `(block, slot)`.
@@ -36,14 +37,11 @@ impl RecordId {
     }
 
     /// Decode from [`RecordId::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<RecordId> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        Some(RecordId {
-            block: BlockId(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])),
-            slot: u16::from_le_bytes([bytes[4], bytes[5]]),
-        })
+    pub fn from_bytes(bytes: &[u8]) -> Result<RecordId, DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        let rid = RecordId { block: BlockId(r.u32()?), slot: r.u16()? };
+        r.take(2)?; // padding
+        Ok(rid)
     }
 }
 
@@ -99,14 +97,14 @@ impl HeapFile {
             return Err(StorageError::RecordTooLarge { size: data.len(), max: page::MAX_RECORD });
         }
         if let Some(&last) = self.blocks.last() {
-            if let Some(slot) = pool.write(last, |p| page::insert(p, data))? {
+            if let Some(slot) = pool.write_page(last, |p| page::insert(p, data))? {
                 self.record_count += 1;
                 return Ok(RecordId { block: last, slot });
             }
         }
         let block = pool.allocate()?;
         self.blocks.push(block);
-        let slot = pool.write(block, |p| page::insert(p, data))?.ok_or_else(|| {
+        let slot = pool.write_page(block, |p| page::insert(p, data))?.ok_or_else(|| {
             StorageError::Corrupt("fresh page rejected a record within MAX_RECORD".into())
         })?;
         self.record_count += 1;
@@ -125,7 +123,7 @@ impl HeapFile {
             return Err(StorageError::RecordTooLarge { size: data.len(), max: page::MAX_RECORD });
         }
         if self.blocks.contains(&near) {
-            if let Some(slot) = pool.write(near, |p| page::insert(p, data))? {
+            if let Some(slot) = pool.write_page(near, |p| page::insert(p, data))? {
                 self.record_count += 1;
                 return Ok(RecordId { block: near, slot });
             }
@@ -138,7 +136,7 @@ impl HeapFile {
         if !self.blocks.contains(&rid.block) {
             return Ok(None);
         }
-        pool.read(rid.block, |p| page::get(p, rid.slot).map(<[u8]>::to_vec))
+        pool.read_page(rid.block, |p| Ok(page::get(p, rid.slot)?.map(<[u8]>::to_vec)))
     }
 
     /// Replace a record's bytes. Returns the (possibly new) record id: when
@@ -155,11 +153,11 @@ impl HeapFile {
         if !self.blocks.contains(&rid.block) {
             return Err(StorageError::InvalidRecordId(rid.to_string()));
         }
-        let updated = pool.write(rid.block, |p| {
-            if page::get(p, rid.slot).is_none() {
-                None
+        let updated = pool.write_page(rid.block, |p| {
+            if page::get(p, rid.slot)?.is_none() {
+                Ok(None)
             } else {
-                Some(page::update(p, rid.slot, data))
+                page::update(p, rid.slot, data).map(Some)
             }
         })?;
         match updated {
@@ -167,7 +165,7 @@ impl HeapFile {
             Some(true) => Ok(rid),
             Some(false) => {
                 // Relocate: remove here, insert elsewhere.
-                pool.write(rid.block, |p| page::delete(p, rid.slot))?;
+                pool.write_page(rid.block, |p| page::delete(p, rid.slot))?;
                 self.record_count -= 1; // insert() will re-count it
                 self.insert(pool, data)
             }
@@ -179,7 +177,7 @@ impl HeapFile {
         if !self.blocks.contains(&rid.block) {
             return Err(StorageError::InvalidRecordId(rid.to_string()));
         }
-        match pool.write(rid.block, |p| page::delete(p, rid.slot))? {
+        match pool.write_page(rid.block, |p| page::delete(p, rid.slot))? {
             Some(data) => {
                 self.record_count -= 1;
                 Ok(data)
@@ -199,7 +197,7 @@ impl HeapFile {
         if !self.blocks.contains(&rid.block) {
             return Err(StorageError::InvalidRecordId(rid.to_string()));
         }
-        let ok = pool.write(rid.block, |p| page::insert_at(p, rid.slot, data))?;
+        let ok = pool.write_page(rid.block, |p| page::insert_at(p, rid.slot, data))?;
         if ok {
             self.record_count += 1;
             Ok(())
@@ -221,16 +219,16 @@ impl HeapFile {
     ) -> Result<Option<(RecordId, Vec<u8>)>, StorageError> {
         while cur.block_index < self.blocks.len() {
             let block = self.blocks[cur.block_index];
-            let found = pool.read(block, |p| {
-                let n = page::slot_count(p);
+            let found = pool.read_page(block, |p| {
+                let n = page::slot_count(p)?;
                 while cur.next_slot < n {
                     let slot = cur.next_slot;
                     cur.next_slot += 1;
-                    if let Some(d) = page::get(p, slot) {
-                        return Some((RecordId { block, slot }, d.to_vec()));
+                    if let Some(d) = page::get(p, slot)? {
+                        return Ok(Some((RecordId { block, slot }, d.to_vec())));
                     }
                 }
-                None
+                Ok(None)
             })?;
             if found.is_some() {
                 return Ok(found);
@@ -371,8 +369,8 @@ mod tests {
     #[test]
     fn record_id_bytes_roundtrip() {
         let rid = RecordId { block: BlockId(123456), slot: 789 };
-        assert_eq!(RecordId::from_bytes(&rid.to_bytes()), Some(rid));
-        assert_eq!(RecordId::from_bytes(&[1, 2, 3]), None);
+        assert_eq!(RecordId::from_bytes(&rid.to_bytes()), Ok(rid));
+        assert!(RecordId::from_bytes(&[1, 2, 3]).is_err());
     }
 
     #[test]

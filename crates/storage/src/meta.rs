@@ -13,6 +13,7 @@
 
 use crate::disk::BlockId;
 use crate::error::StorageError;
+use sim_types::ByteReader;
 
 const MAGIC: &[u8; 4] = b"SIMM";
 const VERSION: u16 = 1;
@@ -101,42 +102,40 @@ impl EngineMeta {
 
     /// Decode bytes produced by [`EngineMeta::encode`].
     pub fn decode(bytes: &[u8]) -> Result<EngineMeta, StorageError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(corrupt("bad metadata magic"));
         }
-        let version = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes"));
+        let version = r.u16()?;
         if version != VERSION {
             return Err(corrupt(&format!("unsupported metadata version {version}")));
         }
         let block_count = r.u64()?;
         let next_txn = r.u64()?;
         let mut files = Vec::new();
-        for _ in 0..r.len()? {
-            let blocks = r.blocks()?;
+        for _ in 0..len(&mut r)? {
+            let blocks = blocks(&mut r)?;
             let record_count = r.u64()?;
             files.push(HeapMeta { blocks, record_count });
         }
         let mut btrees = Vec::new();
-        for _ in 0..r.len()? {
+        for _ in 0..len(&mut r)? {
             let root = BlockId(r.u32()?);
-            let unique = r.bool()?;
+            let unique = r.u8()? != 0;
             let entry_count = r.u64()?;
             let height = r.u64()?;
             btrees.push(BTreeMeta { root, unique, entry_count, height });
         }
         let mut hashes = Vec::new();
-        for _ in 0..r.len()? {
-            let buckets = r.blocks()?;
-            let unique = r.bool()?;
+        for _ in 0..len(&mut r)? {
+            let buckets = blocks(&mut r)?;
+            let unique = r.u8()? != 0;
             let entry_count = r.u64()?;
             hashes.push(HashMeta { buckets, unique, entry_count });
         }
-        let app_len = r.len()?;
+        let app_len = len(&mut r)?;
         let app_meta = r.take(app_len)?.to_vec();
-        if r.pos != bytes.len() {
-            return Err(corrupt("trailing bytes after metadata"));
-        }
+        r.finish()?;
         Ok(EngineMeta { block_count, next_txn, files, btrees, hashes, app_meta })
     }
 }
@@ -156,46 +155,17 @@ fn put_blocks(out: &mut Vec<u8>, blocks: &[BlockId]) {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn len(r: &mut ByteReader<'_>) -> Result<usize, StorageError> {
+    usize::try_from(r.u64()?).map_err(|_| corrupt("length overflows usize"))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(corrupt("unexpected end of bytes"));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+fn blocks(r: &mut ByteReader<'_>) -> Result<Vec<BlockId>, StorageError> {
+    let n = len(r)?;
+    let mut out = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        out.push(BlockId(r.u32()?));
     }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn bool(&mut self) -> Result<bool, StorageError> {
-        Ok(self.take(1)?[0] != 0)
-    }
-
-    fn len(&mut self) -> Result<usize, StorageError> {
-        let n = self.u64()?;
-        usize::try_from(n).map_err(|_| corrupt("length overflows usize"))
-    }
-
-    fn blocks(&mut self) -> Result<Vec<BlockId>, StorageError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(BlockId(self.u32()?));
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! ```
 
 use crate::BLOCK_SIZE;
+use sim_types::{ByteReader, DecodeError};
 
 const HEADER: usize = 4;
 const SLOT_SIZE: usize = 4;
@@ -31,29 +32,86 @@ fn put_u16(page: &mut [u8], off: usize, v: u16) {
     page[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Number of slot-table entries (live or free).
-pub fn slot_count(page: &[u8; BLOCK_SIZE]) -> u16 {
-    get_u16(page, 0)
+/// A page's slot count and data-region start, checked on read: the slot
+/// table ends at or before the data region, which starts inside the block.
+/// Every accessor below goes through it, so a damaged header is a
+/// [`DecodeError`] rather than an out-of-range index.
+#[derive(Clone, Copy)]
+struct Header {
+    slots: u16,
+    data_start: usize,
 }
 
-fn data_start(page: &[u8; BLOCK_SIZE]) -> usize {
-    let v = get_u16(page, 2) as usize;
-    if v == 0 {
-        BLOCK_SIZE // uninitialized page
-    } else {
-        v
+impl Header {
+    fn read(page: &[u8; BLOCK_SIZE]) -> Result<Header, DecodeError> {
+        let mut r = ByteReader::new(page);
+        let slots = r.u16()?;
+        let data_start = match r.u16()? {
+            0 => BLOCK_SIZE, // uninitialized page
+            v => usize::from(v),
+        };
+        let header = Header { slots, data_start };
+        let below_data = ByteReader::new(page).take(data_start)?;
+        ByteReader::new(below_data).take(header.table_end())?;
+        Ok(header)
     }
-}
 
-fn slot_entry(page: &[u8; BLOCK_SIZE], slot: u16) -> (usize, usize) {
-    let base = HEADER + slot as usize * SLOT_SIZE;
-    (get_u16(page, base) as usize, get_u16(page, base + 2) as usize)
+    fn table_end(self) -> usize {
+        HEADER + usize::from(self.slots) * SLOT_SIZE
+    }
+
+    /// Contiguous free bytes between the slot table and the data region.
+    fn gap(self) -> usize {
+        self.data_start - self.table_end()
+    }
+
+    /// Slot `slot`'s `(offset, len)`; offset 0 = free. Requires
+    /// `slot < self.slots`, which puts the entry inside the checked table.
+    fn entry(self, page: &[u8; BLOCK_SIZE], slot: u16) -> (usize, usize) {
+        let base = HEADER + usize::from(slot) * SLOT_SIZE;
+        (usize::from(get_u16(page, base)), usize::from(get_u16(page, base + 2)))
+    }
+
+    /// A live slot's offset and bytes, checked to lie inside the block;
+    /// `None` for a free or out-of-range slot.
+    fn record(
+        self,
+        page: &[u8; BLOCK_SIZE],
+        slot: u16,
+    ) -> Result<Option<(usize, &[u8])>, DecodeError> {
+        if slot >= self.slots {
+            return Ok(None);
+        }
+        let (off, len) = self.entry(page, slot);
+        if off == 0 {
+            return Ok(None);
+        }
+        let mut r = ByteReader::new(page);
+        r.take(off)?;
+        Ok(Some((off, r.take(len)?)))
+    }
+
+    fn free_slot(self, page: &[u8; BLOCK_SIZE]) -> Option<u16> {
+        (0..self.slots).find(|&s| self.entry(page, s).0 == 0)
+    }
+
+    /// Contiguous free bytes for one more record, reserving a new slot-table
+    /// entry unless a free slot exists.
+    fn free_space(self, page: &[u8; BLOCK_SIZE]) -> usize {
+        let reserve = if self.free_slot(page).is_some() { 0 } else { SLOT_SIZE };
+        self.gap().saturating_sub(reserve)
+    }
 }
 
 fn set_slot(page: &mut [u8; BLOCK_SIZE], slot: u16, offset: usize, len: usize) {
     let base = HEADER + slot as usize * SLOT_SIZE;
     put_u16(page, base, offset as u16);
     put_u16(page, base + 2, len as u16);
+}
+
+/// Number of slot-table entries (live or free).
+pub fn slot_count(page: &[u8; BLOCK_SIZE]) -> Result<u16, DecodeError> {
+    Ok(Header::read(page)?.slots)
 }
 
 /// Initialize an empty page. Freshly allocated (zeroed) blocks are already
@@ -63,166 +121,141 @@ pub fn init(page: &mut [u8; BLOCK_SIZE]) {
     put_u16(page, 2, BLOCK_SIZE as u16);
 }
 
-/// Contiguous free bytes available for one more record (including a possible
-/// new slot-table entry).
-pub fn free_space(page: &[u8; BLOCK_SIZE]) -> usize {
-    let slots = slot_count(page) as usize;
-    let table_end = HEADER + slots * SLOT_SIZE;
-    let start = data_start(page);
-    // Reserve room for one more slot entry unless a free slot exists.
-    let reserve = if find_free_slot(page).is_some() { 0 } else { SLOT_SIZE };
-    start.saturating_sub(table_end + reserve)
-}
-
-fn find_free_slot(page: &[u8; BLOCK_SIZE]) -> Option<u16> {
-    let n = slot_count(page);
-    (0..n).find(|&s| slot_entry(page, s).0 == 0)
-}
-
-/// Sum of live record bytes (used by compaction decisions).
-pub fn live_bytes(page: &[u8; BLOCK_SIZE]) -> usize {
-    let n = slot_count(page);
-    (0..n)
-        .map(|s| {
-            let (off, len) = slot_entry(page, s);
-            if off == 0 {
-                0
-            } else {
-                len
-            }
-        })
-        .sum()
-}
-
 /// Insert a record, returning its slot, or `None` if the page cannot hold it
 /// even after compaction.
-pub fn insert(page: &mut [u8; BLOCK_SIZE], data: &[u8]) -> Option<u16> {
+pub fn insert(page: &mut [u8; BLOCK_SIZE], data: &[u8]) -> Result<Option<u16>, DecodeError> {
     if data.len() > MAX_RECORD {
-        return None;
+        return Ok(None);
     }
-    if free_space(page) < data.len() {
-        compact(page);
-        if free_space(page) < data.len() {
-            return None;
+    if Header::read(page)?.free_space(page) < data.len() {
+        compact(page)?;
+        if Header::read(page)?.free_space(page) < data.len() {
+            return Ok(None);
         }
     }
-    let slot = match find_free_slot(page) {
+    let header = Header::read(page)?;
+    let slot = match header.free_slot(page) {
         Some(s) => s,
         None => {
-            let s = slot_count(page);
-            put_u16(page, 0, s + 1);
-            s
+            put_u16(page, 0, header.slots + 1);
+            header.slots
         }
     };
-    place(page, slot, data);
-    Some(slot)
+    place(page, slot, data)?;
+    Ok(Some(slot))
 }
 
 /// Re-occupy a specific (currently free) slot — used by transaction undo to
 /// restore a deleted record at its original address.
-pub fn insert_at(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) -> bool {
-    let n = slot_count(page);
-    if slot >= n || slot_entry(page, slot).0 != 0 || data.len() > MAX_RECORD {
-        return false;
+pub fn insert_at(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) -> Result<bool, DecodeError> {
+    let header = Header::read(page)?;
+    if slot >= header.slots || header.entry(page, slot).0 != 0 || data.len() > MAX_RECORD {
+        return Ok(false);
     }
-    let table_end = HEADER + n as usize * SLOT_SIZE;
-    if data_start(page) - table_end < data.len() {
-        compact(page);
-        if data_start(page) - table_end < data.len() {
-            return false;
+    if header.gap() < data.len() {
+        compact(page)?;
+        if Header::read(page)?.gap() < data.len() {
+            return Ok(false);
         }
     }
-    place(page, slot, data);
-    true
+    place(page, slot, data)?;
+    Ok(true)
 }
 
-fn place(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) {
-    let new_start = data_start(page) - data.len();
+/// Put `data` at the top of the free gap and point `slot` at it. Callers
+/// check the room first; the re-check here keeps a page whose slot entries
+/// overlap from underflowing the data-region start.
+fn place(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) -> Result<(), DecodeError> {
+    let header = Header::read(page)?;
+    if header.gap() < data.len() {
+        return Err(DecodeError {
+            offset: header.table_end(),
+            wanted: data.len(),
+            present: header.gap(),
+        });
+    }
+    let new_start = header.data_start - data.len();
     page[new_start..new_start + data.len()].copy_from_slice(data);
     put_u16(page, 2, new_start as u16);
     set_slot(page, slot, new_start, data.len());
+    Ok(())
 }
 
 /// Read a record's bytes.
-pub fn get(page: &[u8; BLOCK_SIZE], slot: u16) -> Option<&[u8]> {
-    if slot >= slot_count(page) {
-        return None;
-    }
-    let (off, len) = slot_entry(page, slot);
-    if off == 0 {
-        None
-    } else {
-        Some(&page[off..off + len])
-    }
+pub fn get(page: &[u8; BLOCK_SIZE], slot: u16) -> Result<Option<&[u8]>, DecodeError> {
+    Ok(Header::read(page)?.record(page, slot)?.map(|(_, data)| data))
 }
 
-/// Replace a record in place. Fails (returns `false`) if the page cannot
-/// hold the new size; the caller then relocates the record.
-pub fn update(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) -> bool {
-    if slot >= slot_count(page) {
-        return false;
+/// Replace a record in place. Fails (returns `false`) if the slot is free or
+/// the page cannot hold the new size; the caller then relocates the record.
+pub fn update(page: &mut [u8; BLOCK_SIZE], slot: u16, data: &[u8]) -> Result<bool, DecodeError> {
+    let header = Header::read(page)?;
+    let Some((off, old)) = header.record(page, slot)? else { return Ok(false) };
+    if data.len() > MAX_RECORD {
+        return Ok(false);
     }
-    let (off, len) = slot_entry(page, slot);
-    if off == 0 || data.len() > MAX_RECORD {
-        return false;
-    }
-    if data.len() <= len {
+    if data.len() <= old.len() {
         page[off..off + data.len()].copy_from_slice(data);
         set_slot(page, slot, off, data.len());
-        return true;
+        return Ok(true);
     }
     // Grow: free the old bytes, then place anew (possibly after compaction).
-    let old = page[off..off + len].to_vec();
+    let old = old.to_vec();
     set_slot(page, slot, 0, 0);
-    let table_end = HEADER + slot_count(page) as usize * SLOT_SIZE;
-    if data_start(page) - table_end < data.len() {
-        compact(page);
+    if header.gap() < data.len() {
+        compact(page)?;
     }
-    if data_start(page) - table_end < data.len() {
+    if Header::read(page)?.gap() < data.len() {
         // Does not fit: put the old record back so the page is unchanged and
         // the caller can relocate atomically.
-        place(page, slot, &old);
-        return false;
+        place(page, slot, &old)?;
+        return Ok(false);
     }
-    place(page, slot, data);
-    true
+    place(page, slot, data)?;
+    Ok(true)
 }
 
 /// Delete a record, returning its former bytes.
-pub fn delete(page: &mut [u8; BLOCK_SIZE], slot: u16) -> Option<Vec<u8>> {
-    if slot >= slot_count(page) {
-        return None;
-    }
-    let (off, len) = slot_entry(page, slot);
-    if off == 0 {
-        return None;
-    }
-    let data = page[off..off + len].to_vec();
+pub fn delete(page: &mut [u8; BLOCK_SIZE], slot: u16) -> Result<Option<Vec<u8>>, DecodeError> {
+    let header = Header::read(page)?;
+    let Some((_, data)) = header.record(page, slot)? else { return Ok(None) };
+    let data = data.to_vec();
     set_slot(page, slot, 0, 0);
-    Some(data)
+    Ok(Some(data))
 }
 
 /// All live `(slot, bytes)` pairs.
-pub fn live_records(page: &[u8; BLOCK_SIZE]) -> Vec<(u16, Vec<u8>)> {
-    let n = slot_count(page);
-    (0..n).filter_map(|s| get(page, s).map(|d| (s, d.to_vec()))).collect()
+pub fn live_records(page: &[u8; BLOCK_SIZE]) -> Result<Vec<(u16, Vec<u8>)>, DecodeError> {
+    let header = Header::read(page)?;
+    let mut out = Vec::new();
+    for slot in 0..header.slots {
+        if let Some((_, data)) = header.record(page, slot)? {
+            out.push((slot, data.to_vec()));
+        }
+    }
+    Ok(out)
 }
 
 /// Rewrite the data region so free bytes are contiguous. Slot numbers are
-/// preserved.
-pub fn compact(page: &mut [u8; BLOCK_SIZE]) {
-    let live = live_records(page);
-    let n = slot_count(page);
+/// preserved. A page whose live records cannot all fit (overlapping slot
+/// entries) is refused before anything is rewritten.
+pub fn compact(page: &mut [u8; BLOCK_SIZE]) -> Result<(), DecodeError> {
+    let live = live_records(page)?;
+    let header = Header::read(page)?;
+    let total: usize = live.iter().map(|(_, data)| data.len()).sum();
+    let room = BLOCK_SIZE - header.table_end();
+    if total > room {
+        return Err(DecodeError { offset: header.table_end(), wanted: total, present: room });
+    }
     // Clear the data region bookkeeping and re-place from the end.
     put_u16(page, 2, BLOCK_SIZE as u16);
-    for s in 0..n {
-        let base = HEADER + s as usize * SLOT_SIZE;
-        put_u16(page, base, 0);
-        put_u16(page, base + 2, 0);
+    for s in 0..header.slots {
+        set_slot(page, s, 0, 0);
     }
     for (slot, data) in live {
-        place(page, slot, &data);
+        place(page, slot, &data)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -238,41 +271,41 @@ mod tests {
     #[test]
     fn zeroed_block_is_a_valid_empty_page() {
         let p = Box::new([0u8; BLOCK_SIZE]);
-        assert_eq!(slot_count(&p), 0);
-        assert!(free_space(&p) > 4000);
-        assert!(get(&p, 0).is_none());
+        assert_eq!(slot_count(&p).unwrap(), 0);
+        assert!(Header::read(&p).unwrap().free_space(&p) > 4000);
+        assert!(get(&p, 0).unwrap().is_none());
     }
 
     #[test]
     fn insert_get_roundtrip() {
         let mut p = fresh();
-        let s1 = insert(&mut p, b"hello").unwrap();
-        let s2 = insert(&mut p, b"world!").unwrap();
+        let s1 = insert(&mut p, b"hello").unwrap().unwrap();
+        let s2 = insert(&mut p, b"world!").unwrap().unwrap();
         assert_ne!(s1, s2);
-        assert_eq!(get(&p, s1).unwrap(), b"hello");
-        assert_eq!(get(&p, s2).unwrap(), b"world!");
+        assert_eq!(get(&p, s1).unwrap().unwrap(), b"hello");
+        assert_eq!(get(&p, s2).unwrap().unwrap(), b"world!");
     }
 
     #[test]
     fn delete_frees_slot_for_reuse() {
         let mut p = fresh();
-        let s1 = insert(&mut p, b"one").unwrap();
-        let _s2 = insert(&mut p, b"two").unwrap();
-        assert_eq!(delete(&mut p, s1).unwrap(), b"one");
-        assert!(get(&p, s1).is_none());
-        let s3 = insert(&mut p, b"three").unwrap();
+        let s1 = insert(&mut p, b"one").unwrap().unwrap();
+        let _s2 = insert(&mut p, b"two").unwrap().unwrap();
+        assert_eq!(delete(&mut p, s1).unwrap().unwrap(), b"one");
+        assert!(get(&p, s1).unwrap().is_none());
+        let s3 = insert(&mut p, b"three").unwrap().unwrap();
         assert_eq!(s3, s1, "freed slot should be reused");
-        assert_eq!(get(&p, s3).unwrap(), b"three");
+        assert_eq!(get(&p, s3).unwrap().unwrap(), b"three");
     }
 
     #[test]
     fn update_in_place_and_grow() {
         let mut p = fresh();
-        let s = insert(&mut p, b"abcdef").unwrap();
-        assert!(update(&mut p, s, b"xy"));
-        assert_eq!(get(&p, s).unwrap(), b"xy");
-        assert!(update(&mut p, s, b"a much longer record body"));
-        assert_eq!(get(&p, s).unwrap(), b"a much longer record body");
+        let s = insert(&mut p, b"abcdef").unwrap().unwrap();
+        assert!(update(&mut p, s, b"xy").unwrap());
+        assert_eq!(get(&p, s).unwrap().unwrap(), b"xy");
+        assert!(update(&mut p, s, b"a much longer record body").unwrap());
+        assert_eq!(get(&p, s).unwrap().unwrap(), b"a much longer record body");
     }
 
     #[test]
@@ -280,69 +313,102 @@ mod tests {
         let mut p = fresh();
         let rec = vec![0xAAu8; 500];
         let mut count = 0;
-        while insert(&mut p, &rec).is_some() {
+        while insert(&mut p, &rec).unwrap().is_some() {
             count += 1;
         }
         // 4096 / ~504 ≈ 8 records.
         assert!((7..=8).contains(&count), "unexpected fill count {count}");
-        assert!(insert(&mut p, &rec).is_none());
+        assert!(insert(&mut p, &rec).unwrap().is_none());
         // A small record still fits in the tail space.
-        assert!(insert(&mut p, &[1, 2, 3]).is_some());
+        assert!(insert(&mut p, &[1, 2, 3]).unwrap().is_some());
     }
 
     #[test]
     fn compaction_reclaims_freed_space() {
         let mut p = fresh();
         let rec = vec![0xBBu8; 700];
-        let slots: Vec<u16> = (0..5).map(|_| insert(&mut p, &rec).unwrap()).collect();
+        let slots: Vec<u16> = (0..5).map(|_| insert(&mut p, &rec).unwrap().unwrap()).collect();
         // Free alternating records: fragmented free space.
-        delete(&mut p, slots[0]);
-        delete(&mut p, slots[2]);
-        delete(&mut p, slots[4]);
+        delete(&mut p, slots[0]).unwrap();
+        delete(&mut p, slots[2]).unwrap();
+        delete(&mut p, slots[4]).unwrap();
         // 2100 bytes are free but fragmented; a 1500-byte record needs compaction.
-        let s = insert(&mut p, &vec![0xCCu8; 1500]);
+        let s = insert(&mut p, &vec![0xCCu8; 1500]).unwrap();
         assert!(s.is_some());
-        assert_eq!(get(&p, slots[1]).unwrap(), &rec[..]);
-        assert_eq!(get(&p, slots[3]).unwrap(), &rec[..]);
+        assert_eq!(get(&p, slots[1]).unwrap().unwrap(), &rec[..]);
+        assert_eq!(get(&p, slots[3]).unwrap().unwrap(), &rec[..]);
     }
 
     #[test]
     fn insert_at_restores_exact_slot() {
         let mut p = fresh();
-        let s0 = insert(&mut p, b"first").unwrap();
-        let s1 = insert(&mut p, b"second").unwrap();
-        delete(&mut p, s0);
-        assert!(insert_at(&mut p, s0, b"first-again"));
-        assert_eq!(get(&p, s0).unwrap(), b"first-again");
-        assert_eq!(get(&p, s1).unwrap(), b"second");
+        let s0 = insert(&mut p, b"first").unwrap().unwrap();
+        let s1 = insert(&mut p, b"second").unwrap().unwrap();
+        delete(&mut p, s0).unwrap();
+        assert!(insert_at(&mut p, s0, b"first-again").unwrap());
+        assert_eq!(get(&p, s0).unwrap().unwrap(), b"first-again");
+        assert_eq!(get(&p, s1).unwrap().unwrap(), b"second");
         // Occupied or out-of-range slots are rejected.
-        assert!(!insert_at(&mut p, s1, b"x"));
-        assert!(!insert_at(&mut p, 99, b"x"));
+        assert!(!insert_at(&mut p, s1, b"x").unwrap());
+        assert!(!insert_at(&mut p, 99, b"x").unwrap());
     }
 
     #[test]
     fn max_record_is_enforced() {
         let mut p = fresh();
-        assert!(insert(&mut p, &vec![0u8; MAX_RECORD + 1]).is_none());
-        assert!(insert(&mut p, &vec![0u8; MAX_RECORD]).is_some());
+        assert!(insert(&mut p, &vec![0u8; MAX_RECORD + 1]).unwrap().is_none());
+        assert!(insert(&mut p, &vec![0u8; MAX_RECORD]).unwrap().is_some());
     }
 
     #[test]
     fn live_records_lists_only_live() {
         let mut p = fresh();
-        let a = insert(&mut p, b"a").unwrap();
-        let b = insert(&mut p, b"b").unwrap();
-        delete(&mut p, a);
-        let live = live_records(&p);
+        let a = insert(&mut p, b"a").unwrap().unwrap();
+        let b = insert(&mut p, b"b").unwrap().unwrap();
+        delete(&mut p, a).unwrap();
+        let live = live_records(&p).unwrap();
         assert_eq!(live, vec![(b, b"b".to_vec())]);
+    }
+
+    #[test]
+    fn damaged_pages_are_errors_not_panics() {
+        let mut good = fresh();
+        let s = insert(&mut good, b"record").unwrap().unwrap();
+        // A record length past the block end.
+        let mut p = good.clone();
+        put_u16(&mut p[..], HEADER + 2, 0xFFFF);
+        assert!(get(&p, s).is_err());
+        assert!(update(&mut p, s, b"longer record").is_err());
+        assert!(delete(&mut p, s).is_err());
+        assert!(compact(&mut p).is_err());
+        // A slot count whose table runs into the data region.
+        let mut p = good.clone();
+        put_u16(&mut p[..], 0, 2000);
+        assert!(slot_count(&p).is_err());
+        assert!(insert(&mut p, b"x").is_err());
+        // A data-region start past the block end.
+        let mut p = good.clone();
+        put_u16(&mut p[..], 2, 0xFFFF);
+        assert!(get(&p, s).is_err());
+        assert!(insert_at(&mut p, s, b"x").is_err());
+        // Two live slots claiming the same bytes cannot be compacted.
+        let mut p = fresh();
+        let big = vec![7u8; 3000];
+        let a = insert(&mut p, &big).unwrap().unwrap();
+        let b = insert(&mut p, b"tail").unwrap().unwrap();
+        let (off, len) = Header::read(&p).unwrap().entry(&p, a);
+        set_slot(&mut p, b, off, len);
+        let before = p.clone();
+        assert!(compact(&mut p).is_err());
+        assert_eq!(p, before, "a refused compaction rewrites nothing");
     }
 
     #[test]
     fn zero_length_records_are_legal() {
         let mut p = fresh();
-        let s = insert(&mut p, b"").unwrap();
+        let s = insert(&mut p, b"").unwrap().unwrap();
         // Offset is nonzero (points into the data region) so the slot is live.
-        assert_eq!(get(&p, s).unwrap(), b"");
-        assert_eq!(delete(&mut p, s).unwrap(), Vec::<u8>::new());
+        assert_eq!(get(&p, s).unwrap().unwrap(), b"");
+        assert_eq!(delete(&mut p, s).unwrap().unwrap(), Vec::<u8>::new());
     }
 }

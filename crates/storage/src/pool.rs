@@ -43,6 +43,7 @@ use crate::stats::{IoSnapshot, IoStats};
 use crate::wal::{encode_record, WalRecord};
 use crate::BLOCK_SIZE;
 use sim_obs::{Event, EventLog, Registry};
+use sim_types::DecodeError;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -119,7 +120,8 @@ impl BufferPool {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("buffer pool poisoned")
+        // Page decoders return errors, never panic under the lock.
+        self.inner.lock().expect("buffer pool poisoned") // sim-lint: allow(unwrap)
     }
 
     /// Whether this pool enforces WAL ordering.
@@ -184,6 +186,29 @@ impl BufferPool {
         frame.logged = false;
         frame.appended = false;
         Ok(f(&mut frame.data))
+    }
+
+    /// [`BufferPool::read`] through a page decoder that may find the block
+    /// malformed: its [`DecodeError`] (a length, offset or count pointing
+    /// outside the block) becomes [`StorageError::Corrupt`] naming the
+    /// block. The decoder returns rather than panics, so the pool mutex is
+    /// released unpoisoned and the pool keeps serving.
+    pub(crate) fn read_page<R>(
+        &self,
+        id: BlockId,
+        f: impl FnOnce(&[u8; BLOCK_SIZE]) -> Result<R, DecodeError>,
+    ) -> Result<R, StorageError> {
+        self.read(id, f)?.map_err(|e| StorageError::malformed(id, e))
+    }
+
+    /// [`BufferPool::write`] through a page decoder; see
+    /// [`BufferPool::read_page`].
+    pub(crate) fn write_page<R>(
+        &self,
+        id: BlockId,
+        f: impl FnOnce(&mut [u8; BLOCK_SIZE]) -> Result<R, DecodeError>,
+    ) -> Result<R, StorageError> {
+        self.write(id, f)?.map_err(|e| StorageError::malformed(id, e))
     }
 
     /// Write every *flushable* dirty frame back to disk in ascending
@@ -348,6 +373,17 @@ impl BufferPool {
     /// Number of blocks allocated on the underlying disk.
     pub fn block_count(&self) -> usize {
         self.lock().disk.block_count()
+    }
+
+    /// Count one hop of a walk along on-page `next` pointers (leaf chains,
+    /// hash chains). A walk with more hops than the disk has blocks has
+    /// looped: that is corruption naming `id`, not an endless walk.
+    pub(crate) fn count_hop(&self, hops: &mut usize, id: BlockId) -> Result<(), StorageError> {
+        *hops += 1;
+        if *hops > self.block_count() {
+            return Err(StorageError::malformed(id, "its chain loops"));
+        }
+        Ok(())
     }
 
     /// Drop every flushed frame (writing flushable dirty ones back first):

@@ -269,8 +269,9 @@ fn decode_one(bytes: &[u8]) -> Result<(WalRecord, usize), DecodeErr> {
         return Err(DecodeErr::Corrupt(format!("bad record magic {:#04x}", bytes[0])));
     }
     let kind = bytes[1];
-    let txn = u64::from_le_bytes(bytes[2..10].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[10..14].try_into().expect("4 bytes")) as usize;
+    // The four `expect`s below each follow an explicit length check.
+    let txn = u64::from_le_bytes(bytes[2..10].try_into().expect("8 bytes")); // sim-lint: allow(unwrap)
+    let len = u32::from_le_bytes(bytes[10..14].try_into().expect("4 bytes")) as usize; // sim-lint: allow(unwrap)
     if len > MAX_PAYLOAD {
         return Err(DecodeErr::Corrupt(format!("payload length {len} exceeds maximum")));
     }
@@ -278,7 +279,7 @@ fn decode_one(bytes: &[u8]) -> Result<(WalRecord, usize), DecodeErr> {
     if bytes.len() < total {
         return Err(DecodeErr::Truncated);
     }
-    let stored_crc = u32::from_le_bytes(bytes[total - 4..total].try_into().expect("4 bytes"));
+    let stored_crc = u32::from_le_bytes(bytes[total - 4..total].try_into().expect("4 bytes")); // sim-lint: allow(unwrap)
     if crc32(&bytes[..total - 4]) != stored_crc {
         return Err(DecodeErr::Corrupt("checksum mismatch".into()));
     }
@@ -288,7 +289,7 @@ fn decode_one(bytes: &[u8]) -> Result<(WalRecord, usize), DecodeErr> {
             if payload.len() != 4 + BLOCK_SIZE {
                 return Err(DecodeErr::Corrupt(format!("page image of {} bytes", payload.len())));
             }
-            let block = BlockId(u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")));
+            let block = BlockId(u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"))); // sim-lint: allow(unwrap)
             let mut data = Box::new([0u8; BLOCK_SIZE]);
             data.copy_from_slice(&payload[4..]);
             WalRecord::PageImage { txn, block, data }

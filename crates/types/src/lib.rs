@@ -15,6 +15,9 @@
 //! * [`ordered`] — order-preserving byte encodings so that B-tree indexes over
 //!   any value type sort identically to [`Value`]'s comparison order.
 //! * [`pattern`] — the DML's string pattern-matching operator.
+//! * [`reader`] — the bounded byte reader every stored and wire format
+//!   decodes through: a malformed length is a [`DecodeError`], never a
+//!   panic.
 
 #![forbid(unsafe_code)]
 // Checked, fallible arithmetic is deliberately inherent (`a.add(b)?`) rather
@@ -27,6 +30,7 @@ pub mod domain;
 pub mod error;
 pub mod ordered;
 pub mod pattern;
+pub mod reader;
 pub mod surrogate;
 pub mod truth;
 pub mod value;
@@ -35,6 +39,7 @@ pub use date::Date;
 pub use decimal::Decimal;
 pub use domain::{Domain, IntRange, SymbolicType};
 pub use error::TypeError;
+pub use reader::{ByteReader, DecodeError};
 pub use surrogate::{Surrogate, SurrogateAllocator};
 pub use truth::Truth;
 pub use value::{ArithOp, Value};

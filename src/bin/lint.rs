@@ -3,10 +3,11 @@
 //! A std-only text analyzer over the repository's own sources (no syn, no
 //! regex — the build environment is offline). Three rules:
 //!
-//! * **SIM-L001** — `unwrap()` / `expect(` on user-reachable query paths
-//!   (`crates/query/src`, `crates/core/src`): one malformed statement must
-//!   never panic an embedding application; convert to a typed
-//!   `QueryError`. Suppress a deliberate use with a same-line
+//! * **SIM-L001** — `unwrap()` / `expect(` on user-reachable paths: the
+//!   query paths (`crates/query/src`, `crates/core/src`) and the storage
+//!   decoders (`crates/storage/src`). Neither one malformed statement nor
+//!   one damaged page may panic an embedding application; return a typed
+//!   error. Suppress a deliberate use with a same-line
 //!   `sim-lint: allow(unwrap)` marker.
 //! * **SIM-L002** — every metric-shaped string literal
 //!   (`"storage.…"`, `"luc.…"`, `"query.…"`, `"obs.…"`) in non-test code
@@ -128,9 +129,9 @@ fn rel(root: &Path, p: &Path) -> String {
     p.strip_prefix(root).unwrap_or(p).display().to_string()
 }
 
-// ----- SIM-L001: no unwrap/expect on user-reachable query paths --------------
+// ----- SIM-L001: no unwrap/expect on user-reachable paths --------------------
 
-const USER_REACHABLE: &[&str] = &["crates/query/src", "crates/core/src"];
+const USER_REACHABLE: &[&str] = &["crates/query/src", "crates/core/src", "crates/storage/src"];
 const ALLOW_MARKER: &str = "sim-lint: allow(unwrap)";
 
 fn lint_unwraps(root: &Path, findings: &mut Vec<Finding>, broken: &mut Vec<String>) {
@@ -155,9 +156,9 @@ fn lint_unwraps(root: &Path, findings: &mut Vec<Finding>, broken: &mut Vec<Strin
                         code: "SIM-L001",
                         file: rel(root, &path),
                         line: line_no,
-                        message: "unwrap()/expect() on a user-reachable query path; return a \
-                                  typed QueryError (or mark `sim-lint: allow(unwrap)` with a \
-                                  safety argument)"
+                        message: "unwrap()/expect() on a user-reachable path; return a typed \
+                                  error (or mark `sim-lint: allow(unwrap)` with a safety \
+                                  argument)"
                             .into(),
                     });
                 }
