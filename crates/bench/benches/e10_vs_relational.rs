@@ -11,57 +11,20 @@
 //! * Q2 "student names with enrolled course titles" — SIM: one MV EVA hop;
 //!   relational: student ⋈ enrollment ⋈ course plus the person fragment.
 //!
-//! Reported: wall time and physical block reads (cold) for each side.
+//! Reported: hot wall time for each side. The cold block-read comparison
+//! is held by `tests/paper_claims.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sim_bench::workloads::{populated_university, relational_university, UniversityScale};
+use sim_bench::workloads::{
+    populated_university, relational_advisor_names, relational_enrollments, relational_university,
+    UniversityScale,
+};
 use sim_relational::RelationalDb;
 use std::hint::black_box;
 
-fn relational_q1(rel: &RelationalDb) -> usize {
-    // student ⋈ instructor on advisor, then ⋈ person for the names.
-    let student = rel.table("student").unwrap();
-    let instructor = rel.table("instructor").unwrap();
-    let person = rel.table("person").unwrap();
-    let s_i = rel.join_eq(student, "advisor_employee_nbr", instructor, "employee_nbr").unwrap();
-    // Resolve both names through the person fragment.
-    let mut out = 0usize;
-    for row in &s_i {
-        let s_ssn = &row[0];
-        let i_ssn = &row[5];
-        let s_name = rel.select_eq(person, "ssn", s_ssn).unwrap();
-        let i_name = rel.select_eq(person, "ssn", i_ssn).unwrap();
-        if !s_name.is_empty() && !i_name.is_empty() {
-            out += 1;
-        }
-    }
-    out
-}
-
-fn relational_q2(rel: &RelationalDb) -> usize {
-    let student = rel.table("student").unwrap();
-    let enrollment = rel.table("enrollment").unwrap();
-    let course = rel.table("course").unwrap();
-    let person = rel.table("person").unwrap();
-    let s_e = rel.join_eq(student, "ssn", enrollment, "student_ssn").unwrap();
-    let mut out = 0usize;
-    for row in &s_e {
-        let course_no = &row[5];
-        let c = rel.select_eq(course, "course_no", course_no).unwrap();
-        let name = rel.select_eq(person, "ssn", &row[0]).unwrap();
-        if !c.is_empty() && !name.is_empty() {
-            out += 1;
-        }
-    }
-    out
-}
-
 fn bench_vs_relational(c: &mut Criterion) {
     eprintln!("[E10] UNIVERSITY workload: SIM vs fragmented relational schema");
-    eprintln!(
-        "[E10] {:>8} {:>6} {:>14} {:>14} {:>12} {:>12}",
-        "students", "query", "sim (ms)", "rel (ms)", "sim reads", "rel reads"
-    );
+    eprintln!("[E10] {:>8} {:>6} {:>14} {:>14}", "students", "query", "sim (ms)", "rel (ms)");
     let mut group = c.benchmark_group("e10_vs_relational");
     group.sample_size(10);
     for n in [50usize, 200] {
@@ -72,28 +35,18 @@ fn bench_vs_relational(c: &mut Criterion) {
         let enrollment = rel.table("enrollment").unwrap();
         rel.create_index(enrollment, "student_ssn").unwrap();
 
-        let q1 = "From student Retrieve name, name of advisor.";
-        let q2 = "From student Retrieve name, title of courses-enrolled.";
-        assert_eq!(db.query(q1).unwrap().rows().len(), relational_q1(&rel));
-        let sim_q2 = db.query(q2).unwrap().rows().len();
-        let rel_q2 = relational_q2(&rel);
-        assert_eq!(sim_q2, rel_q2, "both sides see the same enrollments");
-
         for (qname, sim_q, rel_f) in [
-            ("q1", q1, relational_q1 as fn(&RelationalDb) -> usize),
-            ("q2", q2, relational_q2 as fn(&RelationalDb) -> usize),
+            (
+                "q1",
+                "From student Retrieve name, name of advisor.",
+                relational_advisor_names as fn(&RelationalDb) -> usize,
+            ),
+            (
+                "q2",
+                "From student Retrieve name, title of courses-enrolled.",
+                relational_enrollments,
+            ),
         ] {
-            // Cold I/O.
-            db.clear_cache();
-            let before = db.io_snapshot();
-            db.query(sim_q).unwrap();
-            let sim_reads = db.io_snapshot().since(&before).reads;
-            rel.clear_cache();
-            let before = rel.io_snapshot();
-            rel_f(&rel);
-            let rel_reads = rel.io_snapshot().since(&before).reads;
-
-            // Hot latency.
             let t0 = std::time::Instant::now();
             for _ in 0..5 {
                 db.query(sim_q).unwrap();
@@ -104,9 +57,7 @@ fn bench_vs_relational(c: &mut Criterion) {
                 rel_f(&rel);
             }
             let rel_ms = t0.elapsed().as_secs_f64() * 200.0;
-            eprintln!(
-                "[E10] {n:>8} {qname:>6} {sim_ms:>14.3} {rel_ms:>14.3} {sim_reads:>12} {rel_reads:>12}"
-            );
+            eprintln!("[E10] {n:>8} {qname:>6} {sim_ms:>14.3} {rel_ms:>14.3}");
 
             group.bench_with_input(BenchmarkId::new(format!("sim_{qname}"), n), &(), |b, _| {
                 b.iter(|| black_box(db.query(sim_q).unwrap()))

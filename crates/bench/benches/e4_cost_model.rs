@@ -5,86 +5,21 @@
 //! and 1 block access if it is implemented by absolute addresses
 //! (pointers)."
 //!
-//! Procedure: build the same parent/children forest under the three
-//! mappings, cold the cache, load a parent's record, then access the first
-//! child *measuring physical block reads*. The measured numbers must match
-//! the optimizer's `first_instance_cost` estimates in shape: clustered = 0,
-//! pointer = 1, structure > 1.
+//! The counted claim (clustered = 0, pointer = 1 block read, each equal to
+//! the optimizer's `first_instance_cost`) is held by
+//! `tests/paper_claims.rs`; this bench times the same traversal hot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sim_bench::workloads::node_tree_db;
+use sim_bench::workloads::{node_parents, node_tree_db};
 use std::hint::black_box;
 
-const PARENTS: usize = 64;
-const CHILDREN: usize = 3;
-
-/// Measured block reads per first-instance access, averaged over parents.
-fn measure_first_instance_io(mapping: &str) -> f64 {
-    let db = node_tree_db(mapping, PARENTS, CHILDREN);
-    let mapper = db.mapper();
-    let node_class = mapper.catalog().class_by_name("node").unwrap().id;
-    let children = mapper.catalog().resolve_attr(node_class, "children").unwrap();
-
-    // Parents are the entities with children; identify them via node-id
-    // (ids were assigned parent-first per group).
-    let parents: Vec<_> = mapper
-        .entities_of(node_class)
-        .unwrap()
-        .into_iter()
-        .filter(|&s| !mapper.eva_partners(s, children).unwrap().is_empty())
-        .collect();
-    assert_eq!(parents.len(), PARENTS);
-
-    let mut total_reads = 0u64;
-    for &p in &parents {
-        db.clear_cache();
-        // Bring the owner's record (and the index path to it) into the
-        // cache — the §5.1 claim is about the *additional* I/O.
-        mapper.read_attr(p, mapper.catalog().resolve_attr(node_class, "payload").unwrap()).unwrap();
-        let before = db.io_snapshot();
-        let first = mapper.first_instance(p, children).unwrap();
-        assert!(first.is_some());
-        total_reads += db.io_snapshot().since(&before).reads;
-    }
-    total_reads as f64 / parents.len() as f64
-}
-
 fn bench_cost_model(c: &mut Criterion) {
-    eprintln!("[E4] first-instance I/O (block reads), measured vs optimizer estimate:");
-    eprintln!("[E4] {:<12} {:>10} {:>10}", "mapping", "measured", "estimate");
-    let mut measured = std::collections::HashMap::new();
-    for mapping in ["clustered", "pointer", "structure"] {
-        let io = measure_first_instance_io(mapping);
-        let db = node_tree_db(mapping, 4, 2);
-        let node_class = db.catalog().class_by_name("node").unwrap().id;
-        let children = db.catalog().resolve_attr(node_class, "children").unwrap();
-        let estimate = sim_query::optimizer::first_instance_cost(db.mapper(), children);
-        eprintln!("[E4] {mapping:<12} {io:>10.2} {estimate:>10.2}");
-        measured.insert(mapping, io);
-    }
-    // The paper's ordering claim must hold exactly.
-    assert_eq!(measured["clustered"], 0.0, "clustered first instance costs 0 reads");
-    assert!(
-        (measured["pointer"] - 1.0).abs() < 0.01,
-        "pointer first instance costs 1 block read, got {}",
-        measured["pointer"]
-    );
-    assert!(measured["structure"] > measured["pointer"], "structure mapping pays index I/O on top");
-
-    // Wall-clock latency of the same traversal (hot cache).
     let mut group = c.benchmark_group("e4_first_instance_latency");
     for mapping in ["clustered", "pointer", "structure"] {
-        let db = node_tree_db(mapping, PARENTS, CHILDREN);
+        let db = node_tree_db(mapping, 64, 3);
         sim_bench::metrics_dump::dump_metrics(&db, &format!("e4_cost_model_{mapping}"));
+        let (children, parents) = node_parents(&db);
         let mapper = db.mapper();
-        let node_class = mapper.catalog().class_by_name("node").unwrap().id;
-        let children = mapper.catalog().resolve_attr(node_class, "children").unwrap();
-        let parents: Vec<_> = mapper
-            .entities_of(node_class)
-            .unwrap()
-            .into_iter()
-            .filter(|&s| !mapper.eva_partners(s, children).unwrap().is_empty())
-            .collect();
         group.bench_with_input(BenchmarkId::new("hot", mapping), &(), |b, _| {
             let mut i = 0usize;
             b.iter(|| {

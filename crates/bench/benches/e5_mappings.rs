@@ -3,9 +3,7 @@
 //! (a) Variable-format hierarchy records: "if class and subclass records
 //!     are mapped into one physical record, the Mapper will perform one
 //!     delete instead of the two operations that may be needed otherwise."
-//!     Measured as physical record deletes when removing an entity whose
-//!     roles share the tree record (STUDENT) vs an entity holding a
-//!     multiply-derived role stored in its own unit (TEACHING-ASSISTANT).
+//!     Held in counted physical writes by `tests/paper_claims.rs`.
 //!
 //! (b) Bounded vs unbounded MV DVAs: MAX-bounded values are embedded
 //!     arrays (0 extra structures), unbounded values live in a dependent
@@ -15,30 +13,9 @@
 //!     1:many EVA — full-partner-set traversal I/O.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sim_bench::workloads::node_tree_db;
+use sim_bench::workloads::{node_parents, node_tree_db};
 use sim_core::Database;
 use std::hint::black_box;
-
-fn delete_write_ops(ta: bool) -> u64 {
-    let mut db = Database::university();
-    db.set_enforce_verifies(false);
-    db.run(
-        r#"Insert student(name := "S", soc-sec-no := 1, student-nbr := 2001).
-           Insert instructor From person Where name = "S" (employee-nbr := 1001)."#,
-    )
-    .unwrap();
-    if ta {
-        db.run(r#"Insert teaching-assistant From person Where name = "S" (teaching-load := 5)."#)
-            .unwrap();
-    }
-    // Count physical writes+allocations during the delete (flushing after,
-    // so buffered writes are realized).
-    let before = db.io_snapshot();
-    db.run(r#"Delete person Where name = "S"."#).unwrap();
-    db.clear_cache(); // force write-back
-    let delta = db.io_snapshot().since(&before);
-    delta.writes
-}
 
 fn mv_dva_schema(bounded: bool) -> String {
     let max = if bounded { " (max 8)" } else { "" };
@@ -46,14 +23,6 @@ fn mv_dva_schema(bounded: bool) -> String {
 }
 
 fn bench_mappings(c: &mut Criterion) {
-    // ----- (a) one delete vs two ---------------------------------------------
-    let simple = delete_write_ops(false);
-    let with_aux = delete_write_ops(true);
-    eprintln!("[E5a] physical writes to delete an entity:");
-    eprintln!("[E5a]   tree-record roles only (student+instructor): {simple}");
-    eprintln!("[E5a]   plus multiply-derived TA role (separate unit): {with_aux}");
-    assert!(with_aux > simple, "the separate TA unit must cost extra physical operations");
-
     // ----- (b) embedded array vs dependent structure --------------------------
     let mut group = c.benchmark_group("e5b_mv_dva_access");
     for bounded in [true, false] {
@@ -109,15 +78,9 @@ fn bench_mappings(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5c_traverse_all_children");
     for mapping in ["structure", "pointer", "clustered"] {
         let db = node_tree_db(mapping, 32, 8);
+        let (children, parents) = node_parents(&db);
         let mapper = db.mapper();
         let class = mapper.catalog().class_by_name("node").unwrap().id;
-        let children = mapper.catalog().resolve_attr(class, "children").unwrap();
-        let parents: Vec<_> = mapper
-            .entities_of(class)
-            .unwrap()
-            .into_iter()
-            .filter(|&s| !mapper.eva_partners(s, children).unwrap().is_empty())
-            .collect();
         let mut reads = 0u64;
         for &p in &parents {
             db.clear_cache();

@@ -14,32 +14,15 @@
 //! 3. the relational baseline's join over the fragmented schema.
 //!
 //! Cardinality sweep shows the shapes: EVA traversal scales with the
-//! result, the naive value join with the cross product.
+//! result, the naive value join with the cross product. The shapes in rows
+//! examined are held by `tests/paper_claims.rs`; this bench times them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sim_bench::workloads::{populated_university, relational_university, UniversityScale};
-use sim_relational::RelationalDb;
+use sim_bench::workloads::{
+    populated_university, relational_advisor_names, relational_university, UniversityScale,
+};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The relational formulation that actually answers the question: join
-/// student→instructor on the advisor key, then resolve both names through
-/// the person fragment (the names live there — §1's fragmentation).
-fn relational_advisor_names(rel: &RelationalDb) -> usize {
-    let student = rel.table("student").unwrap();
-    let instructor = rel.table("instructor").unwrap();
-    let person = rel.table("person").unwrap();
-    let joined = rel.join_eq(student, "advisor_employee_nbr", instructor, "employee_nbr").unwrap();
-    let mut n = 0;
-    for row in &joined {
-        let s_name = rel.select_eq(person, "ssn", &row[0]).unwrap();
-        let i_name = rel.select_eq(person, "ssn", &row[5]).unwrap();
-        if !s_name.is_empty() && !i_name.is_empty() {
-            n += 1;
-        }
-    }
-    n
-}
 
 fn bench_eva_vs_join(c: &mut Criterion) {
     eprintln!("[E6] students with advisor names — same data, three formulations:");

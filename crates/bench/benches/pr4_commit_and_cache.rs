@@ -1,5 +1,6 @@
-//! PR 4 — group-commit WAL and plan cache: latency companion to the
-//! `pr4_smoke` check-mode binary.
+//! Group-commit WAL and plan cache: latency companion to the counted gate
+//! in `tests/smoke_gates.rs` (exact fsyncs per commit at windows 1 and 8,
+//! plan-cache hits on every rerun).
 //!
 //! Two groups:
 //!

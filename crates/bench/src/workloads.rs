@@ -1,9 +1,10 @@
 //! Shared workload builders for the experiment harness (DESIGN.md E1–E10).
 
+use sim_catalog::AttrId;
 use sim_core::Database;
 use sim_relational::RelationalDb;
 use sim_testkit::Rng;
-use sim_types::Value;
+use sim_types::{Surrogate, Value};
 
 /// The small, hand-curated UNIVERSITY dataset used throughout the paper's
 /// examples (the same population the integration tests use).
@@ -257,6 +258,21 @@ pub fn node_tree_db(mapping: &str, parents: usize, children_per: usize) -> Datab
     db
 }
 
+/// The `children` attribute of a [`node_tree_db`] forest and its parents
+/// (every node that has children), in surrogate order.
+pub fn node_parents(db: &Database) -> (AttrId, Vec<Surrogate>) {
+    let mapper = db.mapper();
+    let class = mapper.catalog().class_by_name("node").expect("node class").id;
+    let children = mapper.catalog().resolve_attr(class, "children").expect("children attr");
+    let parents = mapper
+        .entities_of(class)
+        .expect("node entities")
+        .into_iter()
+        .filter(|&s| !mapper.eva_partners(s, children).expect("partners").is_empty())
+        .collect();
+    (children, parents)
+}
+
 /// Prerequisite chain of `depth` courses: course k+1 requires course k.
 pub fn prerequisite_chain_db(depth: usize) -> Database {
     let mut db = Database::university();
@@ -375,6 +391,41 @@ pub fn relational_university(scale: UniversityScale, seed: u64) -> RelationalDb 
         }
     }
     db
+}
+
+/// "Every student with their advisor's name" over the fragmented schema:
+/// student ⋈ instructor on the advisor key, then both names through the
+/// person fragment (§1's fragmentation). Returns the answer's row count.
+pub fn relational_advisor_names(rel: &RelationalDb) -> usize {
+    let student = rel.table("student").unwrap();
+    let instructor = rel.table("instructor").unwrap();
+    let person = rel.table("person").unwrap();
+    let joined = rel.join_eq(student, "advisor_employee_nbr", instructor, "employee_nbr").unwrap();
+    joined
+        .iter()
+        .filter(|row| {
+            !rel.select_eq(person, "ssn", &row[0]).unwrap().is_empty()
+                && !rel.select_eq(person, "ssn", &row[5]).unwrap().is_empty()
+        })
+        .count()
+}
+
+/// "Every student's name with their enrolled course titles" over the
+/// fragmented schema: student ⋈ enrollment, then course and the person
+/// fragment per row. Returns the answer's row count.
+pub fn relational_enrollments(rel: &RelationalDb) -> usize {
+    let student = rel.table("student").unwrap();
+    let enrollment = rel.table("enrollment").unwrap();
+    let course = rel.table("course").unwrap();
+    let person = rel.table("person").unwrap();
+    let joined = rel.join_eq(student, "ssn", enrollment, "student_ssn").unwrap();
+    joined
+        .iter()
+        .filter(|row| {
+            !rel.select_eq(course, "course_no", &row[5]).unwrap().is_empty()
+                && !rel.select_eq(person, "ssn", &row[0]).unwrap().is_empty()
+        })
+        .count()
 }
 
 #[cfg(test)]

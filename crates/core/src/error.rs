@@ -68,23 +68,24 @@ impl SimError {
     /// transaction" is distinguishable from "the statement is wrong"
     /// without parsing the message.
     pub fn code(&self) -> Option<&'static str> {
-        match self {
-            SimError::Ddl(_) => None,
-            SimError::Query(e) => e.code(),
-            SimError::Mapper(e) => e.code(),
-            SimError::Storage(e) => e.code(),
-        }
+        self.storage().and_then(StorageError::code)
     }
 
     /// Whether re-running the failed transaction from the top may succeed:
     /// true exactly for the deadlock/conflict victims (`SIM-C001`,
     /// `SIM-C002`), whose statements were valid but lost a race.
     pub fn is_retryable(&self) -> bool {
+        self.storage().is_some_and(StorageError::is_retryable)
+    }
+
+    /// The storage error underneath, however many layers wrap it: codes
+    /// are assigned only by [`StorageError::code`].
+    fn storage(&self) -> Option<&StorageError> {
         match self {
-            SimError::Ddl(_) => false,
-            SimError::Query(e) => e.is_retryable(),
-            SimError::Mapper(e) => e.is_retryable(),
-            SimError::Storage(e) => e.is_retryable(),
+            SimError::Query(QueryError::Mapper(MapperError::Storage(e)))
+            | SimError::Mapper(MapperError::Storage(e))
+            | SimError::Storage(e) => Some(e),
+            _ => None,
         }
     }
 }

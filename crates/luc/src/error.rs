@@ -54,23 +54,6 @@ impl fmt::Display for MapperError {
     }
 }
 
-impl MapperError {
-    /// The stable `SIM-*` code of the underlying error, if any (see
-    /// [`StorageError::code`]).
-    pub fn code(&self) -> Option<&'static str> {
-        match self {
-            MapperError::Storage(e) => e.code(),
-            _ => None,
-        }
-    }
-
-    /// Whether re-running the failed transaction may succeed (lock
-    /// timeout/conflict victims; see [`StorageError::is_retryable`]).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, MapperError::Storage(e) if e.is_retryable())
-    }
-}
-
 impl std::error::Error for MapperError {}
 
 impl From<TypeError> for MapperError {

@@ -52,24 +52,6 @@ impl fmt::Display for QueryError {
     }
 }
 
-impl QueryError {
-    /// The stable `SIM-*` code of the underlying error, if any (lock
-    /// timeouts and conflicts surface through the mapper; see
-    /// `sim_storage::StorageError::code`).
-    pub fn code(&self) -> Option<&'static str> {
-        match self {
-            QueryError::Mapper(e) => e.code(),
-            _ => None,
-        }
-    }
-
-    /// Whether re-running the failed transaction may succeed (`SIM-C001`
-    /// / `SIM-C002` victims lost a race; everything else is a real error).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, QueryError::Mapper(e) if e.is_retryable())
-    }
-}
-
 impl std::error::Error for QueryError {}
 
 impl From<ParseError> for QueryError {

@@ -148,6 +148,25 @@ fn node_size(node: &Node) -> usize {
     }
 }
 
+/// Where to split an overflowing node: the middle entry by count, unless
+/// entries of very different sizes leave a half too big for a block; then
+/// the first point at which both halves fit. Each entry costs `per_entry`
+/// bytes of framing; an internal node's middle separator `moves_up` into
+/// the parent and lands in neither half.
+fn split_point(entries: &[Entry], per_entry: usize, moves_up: bool) -> usize {
+    let bytes =
+        |es: &[Entry]| 7 + es.iter().map(|(k, v)| per_entry + k.len() + v.len()).sum::<usize>();
+    let fits = |mid: usize| {
+        bytes(&entries[..mid]) <= BLOCK_SIZE
+            && bytes(&entries[mid + usize::from(moves_up)..]) <= BLOCK_SIZE
+    };
+    let mid = entries.len() / 2;
+    if fits(mid) {
+        return mid;
+    }
+    (1..entries.len()).find(|&m| fits(m)).unwrap_or(mid)
+}
+
 /// A B+-tree over `(key, value)` byte pairs.
 #[derive(Debug)]
 pub struct BTree {
@@ -247,7 +266,7 @@ impl BTree {
                 }
                 // Split the leaf in half.
                 let Node::Leaf { entries, next } = node else { unreachable!() };
-                let mid = entries.len() / 2;
+                let mid = split_point(&entries, 4, false);
                 let mut left_entries = entries;
                 let right_entries = left_entries.split_off(mid);
                 let right_id = pool.allocate()?;
@@ -278,7 +297,7 @@ impl BTree {
                 }
                 let Node::Internal { mut seps, mut children } = node else { unreachable!() };
                 // Split: middle separator moves up.
-                let mid = seps.len() / 2;
+                let mid = split_point(&seps, 8, true);
                 let up = seps[mid].clone();
                 let right_seps = seps.split_off(mid + 1);
                 seps.pop(); // `up` moves to the parent
@@ -613,36 +632,179 @@ mod tests {
 
     #[test]
     fn interleaved_insert_delete_random() {
-        use std::collections::BTreeMap;
+        interleaved_against_model(true);
+        interleaved_against_model(false);
+    }
+
+    /// Key → values, the `BTreeMap` model every public read is checked
+    /// against.
+    type Model = std::collections::BTreeMap<Vec<u8>, std::collections::BTreeSet<Vec<u8>>>;
+
+    /// Seeded random inserts and deletes, with every public read compared
+    /// to the model every few operations, so scans and cursors run against
+    /// trees that writes have just split or hollowed out. Values are never
+    /// empty, so separators carry values; one insert in twelve is exactly
+    /// [`MAX_ENTRY`] bytes; a non-unique tree draws from few keys, so one
+    /// key's duplicates span leaves; band deletes empty whole leaves. The
+    /// test fails if any of those shapes never occurs.
+    fn interleaved_against_model(unique: bool) {
         let pool = pool();
-        let mut t = BTree::create(&pool, true).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut t = BTree::create(&pool, unique).unwrap();
+        let mut model = Model::new();
+        let mut seen = Shape::default();
         let mut state = 999u64;
-        for i in 0..3000u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let key = k((state >> 40) as u32 % 500);
-            if state.is_multiple_of(3) {
-                let existed_model = model.remove(&key).is_some();
-                let existed_tree = match t.lookup_first(&pool, &key).unwrap() {
-                    Some(v) => t.delete(&pool, &key, &v).unwrap(),
-                    None => false,
-                };
-                assert_eq!(existed_model, existed_tree, "iteration {i}");
-            } else {
-                let val = i.to_le_bytes().to_vec();
-                match t.insert(&pool, &key, &val) {
-                    Ok(()) => {
-                        assert!(model.insert(key, val).is_none(), "iteration {i}");
+        let mut rand = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let keys = if unique { 600 } else { 24 };
+        for i in 0..2400u32 {
+            let key = k(rand(keys) as u32);
+            match rand(12) {
+                0..=3 => {
+                    // Delete one entry: present, or a value never stored.
+                    let stored = model.get(&key).and_then(|vs| vs.iter().next().cloned());
+                    let value = stored.clone().unwrap_or_else(|| b"absent".to_vec());
+                    assert_eq!(t.delete(&pool, &key, &value).unwrap(), stored.is_some(), "op {i}");
+                    model_remove(&mut model, &key, &value);
+                }
+                4 => {
+                    // Band delete: every entry in a run of keys, emptying
+                    // whole leaves that lazy deletion leaves chained.
+                    let hi = k(u32::from_be_bytes(key[..4].try_into().unwrap()) + 40);
+                    for (kk, v) in t.scan_range(&pool, Some(&key), Some(&hi)).unwrap() {
+                        assert!(t.delete(&pool, &kk, &v).unwrap(), "op {i}");
+                        model_remove(&mut model, &kk, &v);
                     }
-                    Err(StorageError::DuplicateKey) => {
-                        assert!(model.contains_key(&key), "iteration {i}");
+                }
+                5 if !unique => {
+                    let removed = t.delete_all(&pool, &key).unwrap();
+                    let expected: Vec<_> =
+                        model.remove(&key).unwrap_or_default().into_iter().collect();
+                    assert_eq!(removed, expected, "op {i}");
+                }
+                op => {
+                    let mut val = i.to_be_bytes().to_vec();
+                    let len =
+                        if op == 6 { MAX_ENTRY - 4 - key.len() } else { 4 + rand(120) as usize };
+                    val.resize(len, b'v');
+                    match t.insert(&pool, &key, &val) {
+                        Ok(()) => {
+                            assert!(!unique || !model.contains_key(&key), "op {i}");
+                            model.entry(key.clone()).or_default().insert(val);
+                        }
+                        Err(StorageError::DuplicateKey) => {
+                            assert!(unique && model.contains_key(&key), "op {i}");
+                        }
+                        Err(e) => panic!("op {i}: unexpected error {e}"),
                     }
-                    Err(e) => panic!("unexpected error {e}"),
                 }
             }
+            if i % 40 == 39 {
+                let probes = [key, k(rand(keys) as u32), k(rand(keys) as u32)];
+                check_reads(&t, &pool, &model, &probes);
+                seen.merge(shape(&t, &pool));
+            }
         }
-        let tree_all: Vec<_> = t.scan_all(&pool).unwrap();
-        let model_all: Vec<_> = model.into_iter().collect();
-        assert_eq!(tree_all, model_all);
+        check_reads(&t, &pool, &model, &[]);
+        assert_eq!(
+            t.entry_count(),
+            model.values().map(std::collections::BTreeSet::len).sum::<usize>()
+        );
+        assert!(seen.empty_leaf && seen.max_entry && seen.valued_sep, "unique={unique}: {seen:?}");
+        assert!(unique || seen.dup_across_leaves, "no key's duplicates spanned leaves: {seen:?}");
+    }
+
+    fn model_remove(model: &mut Model, key: &[u8], value: &[u8]) {
+        if let Some(vs) = model.get_mut(key) {
+            vs.remove(value);
+            if vs.is_empty() {
+                model.remove(key);
+            }
+        }
+    }
+
+    /// Every entry with `lo <= key < hi`, in tree order.
+    fn model_range(model: &Model, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Vec<Entry> {
+        model
+            .iter()
+            .filter(|(key, _)| lo.is_none_or(|lo| key.as_slice() >= lo))
+            .filter(|(key, _)| hi.is_none_or(|hi| key.as_slice() < hi))
+            .flat_map(|(key, vs)| vs.iter().map(move |v| (key.clone(), v.clone())))
+            .collect()
+    }
+
+    fn drain(t: &BTree, pool: &BufferPool, mut cur: BTreeCursor) -> Vec<Entry> {
+        std::iter::from_fn(|| t.cursor_next(pool, &mut cur).unwrap()).collect()
+    }
+
+    /// `lookup_first`, `scan_key`, `scan_range`, `scan_all` and both cursors
+    /// against the model, at each probe key and over the whole tree.
+    fn check_reads(t: &BTree, pool: &BufferPool, model: &Model, probes: &[Vec<u8>]) {
+        let all = model_range(model, None, None);
+        assert_eq!(t.scan_all(pool).unwrap(), all);
+        assert_eq!(drain(t, pool, t.cursor_first(pool).unwrap()), all);
+        for (n, key) in probes.iter().enumerate() {
+            let values: Vec<_> = model.get(key).into_iter().flatten().cloned().collect();
+            assert_eq!(t.lookup_first(pool, key).unwrap(), values.first().cloned());
+            assert_eq!(t.scan_key(pool, key).unwrap(), values);
+            let from = model_range(model, Some(key), None);
+            assert_eq!(drain(t, pool, t.cursor_from(pool, key).unwrap()), from);
+            let next = &probes[(n + 1) % probes.len()];
+            assert_eq!(t.scan_range(pool, Some(key), None).unwrap(), from);
+            assert_eq!(
+                t.scan_range(pool, None, Some(key)).unwrap(),
+                model_range(model, None, Some(key))
+            );
+            assert_eq!(
+                t.scan_range(pool, Some(key), Some(next)).unwrap(),
+                model_range(model, Some(key), Some(next))
+            );
+        }
+    }
+
+    /// Which of the model test's target shapes a tree has, read off its
+    /// nodes.
+    #[derive(Debug, Default)]
+    struct Shape {
+        empty_leaf: bool,
+        dup_across_leaves: bool,
+        max_entry: bool,
+        valued_sep: bool,
+    }
+
+    impl Shape {
+        fn merge(&mut self, o: Shape) {
+            self.empty_leaf |= o.empty_leaf;
+            self.dup_across_leaves |= o.dup_across_leaves;
+            self.max_entry |= o.max_entry;
+            self.valued_sep |= o.valued_sep;
+        }
+    }
+
+    fn shape(t: &BTree, pool: &BufferPool) -> Shape {
+        let mut s = Shape::default();
+        let mut level = vec![t.root];
+        while let Some(id) = level.pop() {
+            if let Node::Internal { seps, children } = read_node(pool, id).unwrap() {
+                s.valued_sep |= seps.iter().any(|(_, v)| !v.is_empty());
+                level.extend(children);
+            }
+        }
+        let mut last_key: Option<Vec<u8>> = None;
+        let mut leaf = Some(t.descend(pool, |_| 0).unwrap());
+        while let Some(id) = leaf {
+            let Node::Leaf { entries, next } = read_node(pool, id).unwrap() else { panic!() };
+            s.empty_leaf |= entries.is_empty() && t.height > 1;
+            s.max_entry |= entries.iter().any(|(k, v)| 4 + k.len() + v.len() == MAX_ENTRY);
+            if let (Some(prev), Some((first, _))) = (&last_key, entries.first()) {
+                s.dup_across_leaves |= prev == first;
+            }
+            if let Some((key, _)) = entries.last() {
+                last_key = Some(key.clone());
+            }
+            leaf = next;
+        }
+        s
     }
 }

@@ -75,9 +75,11 @@ else
     echo "   miri component not installed; skipping (rustup +nightly component add miri)"
 fi
 
-echo "== bench harness + relational baseline (compile + unit tests, no timing loops)"
+echo "== bench harness: paper claims + counted smoke gates + relational baseline"
 # crates/bench is its own workspace; its default members are the harness
-# and crates/bench/relational, the baseline engine only E6/E10 use.
+# and crates/bench/relational, the baseline engine only E6/E10 use. Its
+# tests hold the paper's claims (tests/paper_claims.rs: E4, E5(a), E6, E7,
+# E10) and the mechanism gates (tests/smoke_gates.rs) in counted units.
 (cd crates/bench && cargo clippy --all-targets --features bench -- -D warnings && cargo test -q)
 
 echo "== sim-bench (the BENCHMARK.json benchmark): builds against the public API, seed-42 digests"
@@ -86,40 +88,17 @@ echo "== sim-bench (the BENCHMARK.json benchmark): builds against the public API
 # rather than in the benchmark driver.
 (cd simbench && cargo test -q --offline)
 
-echo "== PR4 bench smoke (check mode): group-commit fsyncs/txn + plan-cache hit ratio"
-# Asserts < 1 fsync per committed txn when batched (>= 5x amortization) and
-# a non-zero plan-cache hit ratio on a hot query; dumps BENCH_pr4.json.
-(cd crates/bench && cargo run -q --bin pr4_smoke)
-
 echo "== PR6 bench smoke (check mode): observability overhead + recorder retention"
 # Asserts the flight recorder + event log cost < 5% of statement wall time
 # and that the recorder retains >= 64 statements; dumps BENCH_pr6.json.
 (cd crates/bench && cargo run -q --bin pr6_smoke)
 
-echo "== PR7 bench smoke (check mode): plan-verifier wiring + overhead gate"
-# Asserts every plan-cache miss is verified with zero violations and that
-# static plan verification costs < 5% of planning time; dumps BENCH_pr7.json.
-(cd crates/bench && cargo run -q --release --bin pr7_smoke)
-
-echo "== PR8 bench smoke (check mode): snapshot readers under an open writer"
-# Asserts snapshot-retrieve throughput stays >= 0.5x idle while a writer
-# transaction holds its X locks, with zero SIM-C001 victim aborts; dumps
-# BENCH_pr8.json.
-(cd crates/bench && cargo run -q --release --bin pr8_smoke)
-
-echo "== PR9 bench smoke (check mode): 64 concurrent network clients"
-# Asserts >= 64 concurrent sim-server connections aggregate >= 3x the
-# single-connection committed-txn throughput (cross-session group-commit
-# barrier amortizes the durability fsync) with zero SIM-C001 aborts on a
-# disjoint-class workload; dumps BENCH_pr9.json.
-(cd crates/bench && cargo run -q --release --bin pr9_smoke)
-
-echo "== PR10 bench smoke (check mode): cost-based vs priors-only plan I/O"
-# Asserts that after analyze() the cost-based plans beat the priors-only
-# plans chosen before it (every non-unique equality at the default
-# EQ_SELECTIVITY prior, 0.005) by >= 2x measured block reads on a skewed
-# two-class workload, with identical results; dumps BENCH_pr10.json.
-(cd crates/bench && cargo run -q --release --bin pr10_smoke)
+echo "== smoke gates, release: the counted gates plus three wall-clock ratios"
+# The ratios (plan verification < 5% of planning, snapshot readers >= 0.5x
+# idle throughput under a writer, 64 clients >= 3x one connection's commit
+# rate) mean something only in an optimized build, and only with the CPU
+# to themselves: one test at a time.
+(cd crates/bench && cargo test -q --release --test smoke_gates -- --test-threads=1)
 
 echo "== sim-dump smoke: offline introspection of a freshly crashed directory"
 # crash_dir leaves committed work only in the WAL plus a torn final frame;
